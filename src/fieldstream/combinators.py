@@ -10,9 +10,10 @@ sharding for fan-out across workers.
 from __future__ import annotations
 
 from collections import deque
-from .errors import BadShard, BatchArity, ShapeMismatch
+from .errors import BadShard, BatchArity
 from .record import EvalStrategy, FieldCell, Record, Value
-from .stream import Datastream, claim_iter, pipeable
+from .stream import Datastream, check_count, claim_iter, pipeable
+from .tensor import Tensor, _pinned_tensor
 
 __all__ = [
     "apply",
@@ -45,6 +46,8 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
     A lazy ``dst`` must not name its own source: the thunk would force
     itself.
     """
+    if not isinstance(strategy, EvalStrategy):
+        raise TypeError(f"unknown strategy {strategy!r}")
     read = _reader(src)
     it = claim_iter(s)
 
@@ -55,12 +58,8 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
         for r in it:
             if strategy is EvalStrategy.EAGER:
                 r.set_field(dst, FieldCell.eager(f(read(r))))
-            elif strategy is EvalStrategy.LAZY_MEMOIZED:
-                r.set_field(dst, FieldCell.lazy_memoized(thunk))
-            elif strategy is EvalStrategy.ON_DEMAND:
-                r.set_field(dst, FieldCell.on_demand(thunk))
             else:
-                raise TypeError(f"unknown strategy {strategy!r}")
+                r.set_field(dst, FieldCell(strategy, thunk=thunk))
             yield r
 
     return Datastream(gen())
@@ -132,8 +131,7 @@ def apply_batch(s, src: str, dst: str, f, batch_size: int) -> Datastream:
     Output order equals input order; lookahead is bounded by
     ``batch_size``.
     """
-    if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
-        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+    check_count(batch_size, "batch_size")
     it = claim_iter(s)
 
     def flush(buf):
@@ -169,10 +167,7 @@ def sliding_window(s, fields, size: int) -> Datastream:
     in a ring and forced exactly once each, never recomputed per
     window. An input shorter than ``size`` yields nothing.
     """
-    from .tensor import Tensor, as_tensor
-
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ValueError(f"window size must be a positive integer, got {size!r}")
+    check_count(size, "window size")
     wanted = [fields] if isinstance(fields, str) else list(fields)
     if not wanted:
         raise ValueError("sliding_window needs at least one field")
@@ -182,15 +177,7 @@ def sliding_window(s, fields, size: int) -> Datastream:
         ring: deque = deque(maxlen=size)
         shapes: dict[str, tuple[int, ...]] = {}
         for r in it:
-            vals = {}
-            for name in wanted:
-                t = as_tensor(r.get_field(name))
-                expected = shapes.setdefault(name, t.shape)
-                if t.shape != expected:
-                    raise ShapeMismatch(
-                        f"field {name!r} has shape {t.shape}, expected {expected}"
-                    )
-                vals[name] = t
+            vals = {name: _pinned_tensor(shapes, name, r.get_field(name)) for name in wanted}
             ring.append((r, vals))
             if len(ring) == size:
                 last = ring[-1][0]

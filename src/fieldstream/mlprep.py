@@ -32,8 +32,8 @@ from .errors import (
     UnlistedKey,
 )
 from .record import FieldCell, Record
-from .stream import Datastream, claim_iter, pipeable
-from .tensor import Tensor, as_tensor
+from .stream import Datastream, check_count, claim_iter, pipeable
+from .tensor import Tensor, _pinned_tensor
 
 __all__ = [
     "SplitLabel",
@@ -154,30 +154,27 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
             for r in it:
                 r.set_field(SPLIT_FIELD, FieldCell.eager(_draw_label(rng.random(), valid, test)))
                 yield r
+    elif os.path.exists(split_file):
+        def gen():
+            table = _load_split_file(split_file)
+            for r in it:
+                key = r.get_field(key_field)
+                label = table.get(key)
+                if label is None:
+                    raise UnlistedKey(f"key {key!r} not present in {split_file}")
+                r.set_field(SPLIT_FIELD, FieldCell.eager(label))
+                yield r
     else:
-        import os
-
-        if os.path.exists(split_file):
-            def gen():
-                table = _load_split_file(split_file)
-                for r in it:
-                    key = r.get_field(key_field)
-                    label = table.get(key)
-                    if label is None:
-                        raise UnlistedKey(f"key {key!r} not present in {split_file}")
-                    r.set_field(SPLIT_FIELD, FieldCell.eager(label))
-                    yield r
-        else:
-            def gen():
-                rng = random.Random(seed)
-                records = list(it)
-                assignments: dict[str, SplitLabel] = {}
-                for r in records:
-                    label = _draw_label(rng.random(), valid, test)
-                    assignments[r.get_field(key_field)] = label
-                    r.set_field(SPLIT_FIELD, FieldCell.eager(label))
-                _save_split_file(split_file, assignments)
-                yield from records
+        def gen():
+            rng = random.Random(seed)
+            records = list(it)
+            assignments: dict[str, SplitLabel] = {}
+            for r in records:
+                label = _draw_label(rng.random(), valid, test)
+                assignments[r.get_field(key_field)] = label
+                r.set_field(SPLIT_FIELD, FieldCell.eager(label))
+            _save_split_file(split_file, assignments)
+            yield from records
 
     return Datastream(gen())
 
@@ -224,18 +221,28 @@ def _resolve_class_field(records, requested: str | None) -> str:
     return "class_no"
 
 
-def _balanced_indices(records, class_field: str) -> set[int]:
-    """Indices of the first m records per class, m = smallest class size."""
-    by_class: dict = {}
-    for i, r in enumerate(records):
-        by_class.setdefault(r.get_field(class_field), []).append(i)
-    if not by_class:
-        return set()
-    m = min(len(v) for v in by_class.values())
-    keep: set[int] = set()
-    for indices in by_class.values():
-        keep.update(indices[:m])
-    return keep
+def _stratified(s, class_field: str | None, group) -> Datastream:
+    """Within each ``group(record)``, keep the first m records of every class.
+
+    m is the size of the group's smallest class. Kept records are
+    emitted in their original relative order.
+    """
+    it = claim_iter(s)
+
+    def gen():
+        records = list(it)
+        field = _resolve_class_field(records, class_field)
+        keys = [(group(r), r.get_field(field)) for r in records]
+        quota: dict = {}
+        for (g, _), n in Counter(keys).items():
+            quota[g] = min(n, quota.get(g, n))
+        seen: Counter = Counter()
+        for r, key in zip(records, keys):
+            seen[key] += 1
+            if seen[key] <= quota[key[0]]:
+                yield r
+
+    return Datastream(gen())
 
 
 @pipeable
@@ -247,40 +254,13 @@ def stratify_sample(s, class_field: str | None = None) -> Datastream:
     relative order. Materializes the stream. ``class_field`` defaults
     to ``class_no`` (``class_id`` accepted when only it is present).
     """
-    it = claim_iter(s)
-
-    def gen():
-        records = list(it)
-        field = _resolve_class_field(records, class_field)
-        keep = _balanced_indices(records, field)
-        for i, r in enumerate(records):
-            if i in keep:
-                yield r
-
-    return Datastream(gen())
+    return _stratified(s, class_field, lambda r: None)
 
 
 @pipeable
 def stratify_sample_tt(s, class_field: str | None = None, split_field: str = SPLIT_FIELD) -> Datastream:
-    """Stratify class counts independently inside each split label."""
-    it = claim_iter(s)
-
-    def gen():
-        records = list(it)
-        field = _resolve_class_field(records, class_field)
-        by_split: dict = {}
-        for i, r in enumerate(records):
-            by_split.setdefault(_label_text(r.get_field(split_field)), []).append(i)
-        keep: set[int] = set()
-        for indices in by_split.values():
-            group = [records[i] for i in indices]
-            kept_local = _balanced_indices(group, field)
-            keep.update(indices[j] for j in kept_local)
-        for i, r in enumerate(records):
-            if i in keep:
-                yield r
-
-    return Datastream(gen())
+    """:func:`stratify_sample` applied independently inside each split label."""
+    return _stratified(s, class_field, lambda r: _label_text(r.get_field(split_field)))
 
 
 @pipeable
@@ -372,21 +352,12 @@ def as_batch(s, feature_fields, label_field: str, batch_size: int = 32) -> Datas
     scalars and stack to shape ``[batch]``. A finite stream ends with a
     partial batch; an infinite stream yields batches forever.
     """
-    if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
-        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+    check_count(batch_size, "batch_size")
     names = [feature_fields] if isinstance(feature_fields, str) else list(feature_fields)
     it = claim_iter(s)
 
     def gen():
         shapes: dict[str, tuple[int, ...]] = {}
-
-        def feature_tensor(r: Record, name: str) -> Tensor:
-            t = as_tensor(r.get_field(name))
-            expected = shapes.setdefault(name, t.shape)
-            if t.shape != expected:
-                raise ShapeMismatch(f"feature {name!r} has shape {t.shape}, expected {expected}")
-            return t
-
         while True:
             chunk: list[Record] = []
             for r in it:
@@ -396,15 +367,15 @@ def as_batch(s, feature_fields, label_field: str, batch_size: int = 32) -> Datas
             if not chunk:
                 return
             features = {
-                name: Tensor.stack([feature_tensor(r, name) for r in chunk]) for name in names
+                name: Tensor.stack([_pinned_tensor(shapes, name, r.get_field(name)) for r in chunk])
+                for name in names
             }
-            labels = []
-            for r in chunk:
-                v = r.get_field(label_field)
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise NonNumericLabel(f"label field {label_field!r} holds {v!r}")
-                labels.append(float(v))
-            yield Batch(features=features, labels=Tensor((len(chunk),), labels), size=len(chunk))
+            values = [r.get_field(label_field) for r in chunk]
+            try:
+                labels = Tensor((len(chunk),), values)
+            except ValueError as e:
+                raise NonNumericLabel(f"label field {label_field!r}: {e}") from None
+            yield Batch(features=features, labels=labels, size=len(chunk))
             if len(chunk) < batch_size:
                 return
 

@@ -147,6 +147,12 @@ def pipeable(func):
     return _Pipeable(func)
 
 
+def check_count(value, what: str, minimum: int = 1) -> None:
+    """Raise ValueError naming ``what`` unless ``value`` is an int of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
 @pipeable
 def pipe(s, stage) -> Datastream:
     """Apply one stream transformer; the explicit spelling of ``s | stage``."""
@@ -205,8 +211,7 @@ def as_list(s) -> list:
 @pipeable
 def take(s, n: int) -> Datastream:
     """At most ``n`` elements, pulling upstream exactly min(n, len) times."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"take needs a non-negative integer, got {n!r}")
+    check_count(n, "take count", minimum=0)
     it = claim_iter(s)
 
     def gen():

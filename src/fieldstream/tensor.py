@@ -28,19 +28,13 @@ class Tensor:
         for dim in shape:
             if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
                 raise ValueError(f"bad tensor dimension {dim!r}")
-        flat = tuple(self._as_float(x) for x in data)
+        flat = tuple(map(to_float, data))
         if len(flat) != math.prod(shape):
             raise ValueError(
                 f"tensor data has {len(flat)} elements, shape {shape} needs {math.prod(shape)}"
             )
         self._shape = shape
         self._data = flat
-
-    @staticmethod
-    def _as_float(x) -> float:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ValueError(f"tensor element {x!r} is not a number")
-        return float(x)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -58,30 +52,8 @@ class Tensor:
     def scalar(cls, x: float) -> "Tensor":
         return cls((), (x,))
 
-    @classmethod
-    def from_nested(cls, nested) -> "Tensor":
-        """Build a tensor from (possibly nested) lists, inferring the shape."""
-        shape = []
-        probe = nested
-        while isinstance(probe, (list, tuple)):
-            shape.append(len(probe))
-            probe = probe[0] if probe else None
-        flat: list[float] = []
-
-        def walk(node, depth):
-            if depth == len(shape):
-                flat.append(cls._as_float(node))
-                return
-            if not isinstance(node, (list, tuple)) or len(node) != shape[depth]:
-                raise ValueError("ragged nested data")
-            for child in node:
-                walk(child, depth + 1)
-
-        walk(nested, 0)
-        return cls(shape, flat)
-
     def to_nested(self):
-        """Inverse of :meth:`from_nested`; a scalar comes back as a float."""
+        """The data as nested lists, one level per dimension; a scalar comes back as a float."""
 
         def build(shape, offset):
             if not shape:
@@ -126,10 +98,30 @@ class Tensor:
         return f"Tensor(shape={self._shape}, <{len(self._data)} floats>)"
 
 
+def to_float(x) -> float:
+    """``x`` as a float; bools, non-numbers and ints too large for a float raise ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{x!r} is not a number")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"integer of {x.bit_length()} bits does not fit a float") from None
+
+
 def as_tensor(value) -> Tensor:
     """Coerce a field value to a tensor; numeric scalars become rank 0."""
     if isinstance(value, Tensor):
         return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Tensor.scalar(float(value))
-    raise TypeError(f"{value!r} is neither a tensor nor a numeric scalar")
+    try:
+        return Tensor.scalar(value)
+    except ValueError as e:
+        raise TypeError(f"neither a tensor nor a numeric scalar: {e}") from None
+
+
+def _pinned_tensor(shapes: dict[str, tuple[int, ...]], name: str, value) -> Tensor:
+    """``value`` as a tensor whose shape must equal the first one ``shapes`` saw for ``name``."""
+    t = as_tensor(value)
+    expected = shapes.setdefault(name, t.shape)
+    if t.shape != expected:
+        raise ShapeMismatch(f"field {name!r} has shape {t.shape}, expected {expected}")
+    return t

@@ -22,6 +22,10 @@ from helpers import ds, random_value, recs, strict_equal, values
 
 # encode / decode -----------------------------------------------------------------
 
+# a tensor whose one element is an integer literal too large for a float
+HUGE_TENSOR_BLOB = b'{"v":1,"value":{"t":"tensor","shape":[1],"data":[1' + b"0" * 400 + b"]}}"
+
+
 def test_encode_int_exact_bytes():
     assert encode_value(3) == b'{"v":1,"value":3}'
 
@@ -54,6 +58,8 @@ def test_decode_rejects_garbage():
         decode_value(b'{"value":3}')
     with pytest.raises(CacheCorrupt):
         decode_value(b"\xff\xfe")
+    with pytest.raises(CacheCorrupt):
+        decode_value(HUGE_TENSOR_BLOB)
 
 
 def test_round_trip_preserves_scalar_types():
@@ -130,10 +136,11 @@ def test_cache_file_naming(tmp_path):
 def test_corrupt_cache_file_names_path(tmp_path):
     as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: v, tmp_path))
     victim = tmp_path / "sq" / "f0.json"
-    victim.write_text('{"v":1,"va')
-    with pytest.raises(CacheCorrupt) as exc:
-        as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: v, tmp_path))
-    assert "f0.json" in str(exc.value)
+    for blob in [b'{"v":1,"va', HUGE_TENSOR_BLOB]:
+        victim.write_bytes(blob)
+        with pytest.raises(CacheCorrupt) as exc:
+            as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: v, tmp_path))
+        assert "f0.json" in str(exc.value)
 
 
 def test_cache_multi_source(tmp_path):

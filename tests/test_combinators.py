@@ -26,7 +26,7 @@ from fieldstream import (
     sliding_window,
 )
 
-from helpers import ds, recs
+from helpers import CountingSource, ds, recs
 
 
 def xs(values):
@@ -97,6 +97,13 @@ def test_apply_missing_source_eager_vs_lazy():
     with pytest.raises(MissingField) as exc:
         out[0].get_field("y")
     assert exc.value.name == "x"
+
+
+def test_apply_rejects_unknown_strategy_when_composed():
+    source = CountingSource([1, 2])
+    with pytest.raises(TypeError):
+        as_field(source.stream(), "x") | apply("x", "y", lambda v: v, strategy="eager")
+    assert source.pulls == 0
 
 
 @given(st.lists(st.integers(-50, 50), max_size=30))

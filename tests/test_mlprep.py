@@ -381,9 +381,10 @@ def test_as_batch_batch_size_one():
 
 
 def test_as_batch_non_numeric_label():
-    rows = recs([{"image": 1.0, "class_id": "cat"}])
-    with pytest.raises(NonNumericLabel):
-        as_list(as_batch(ds(rows), "image", "class_id", 1))
+    for label in ["cat", 10**400]:
+        rows = recs([{"image": 1.0, "class_id": label}])
+        with pytest.raises(NonNumericLabel):
+            as_list(as_batch(ds(rows), "image", "class_id", 1))
 
 
 def test_as_batch_shape_mismatch():
