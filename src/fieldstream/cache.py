@@ -27,8 +27,8 @@ import os
 import tempfile
 
 from .errors import CacheCorrupt
-from .record import FieldCell, Value
-from .stream import Datastream, claim_iter, pipeable
+from .record import Value, check_name
+from .stream import Datastream, claim_iter, pipeable, reader
 from .tensor import Tensor
 
 __all__ = ["apply_cached", "encode_value", "decode_value", "to_jsonable", "from_jsonable", "atomic_write_bytes"]
@@ -140,9 +140,8 @@ def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") ->
     is not invoked; on a miss ``f`` runs and the result is written
     atomically before the record is yielded.
     """
-    from .combinators import _reader
-
-    read = _reader(src)
+    check_name(dst)
+    read = reader(src)
     cache_dir = os.fspath(cache_dir)
     subdir = os.path.join(cache_dir, dst)
     os.makedirs(subdir, exist_ok=True)
@@ -164,7 +163,7 @@ def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") ->
             else:
                 value = f(read(r))
                 atomic_write_bytes(path, encode_value(value))
-            r.set_field(dst, FieldCell.eager(value))
+            r.set_value(dst, value)
             yield r
 
     return Datastream(gen())

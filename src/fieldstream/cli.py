@@ -22,6 +22,8 @@ from .combinators import apply, shard, sliding_window
 from .errors import FieldstreamError, RaggedRow
 from .mlprep import datasplit, stratify_sample, summary
 from .sources import csvsource, get_datastream, jsonstream
+from .stream import count
+from .tensor import as_tensor
 
 __all__ = ["run_cli", "main"]
 
@@ -29,8 +31,7 @@ __all__ = ["run_cli", "main"]
 def _write_jsonl(records, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            obj = {name: to_jsonable(v) for name, v in r.to_dict().items()}
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(to_jsonable(r.to_dict()), ensure_ascii=False) + "\n")
 
 
 def _csv_cell(value) -> str:
@@ -67,18 +68,14 @@ def _cmd_convert(ns) -> int:
 
 
 def _cmd_summary(ns) -> int:
-    stream = get_datastream(ns.dir, ext=ns.ext) | summary(sink=sys.stdout)
-    for _ in stream:
-        pass
+    count(get_datastream(ns.dir, ext=ns.ext) | summary(sink=sys.stdout))
     return 0
 
 
 def _cmd_split(ns) -> int:
     if os.path.exists(ns.out_path):
         os.unlink(ns.out_path)  # recompute from the given seed, not reload
-    stream = get_datastream(ns.dir, ext=ns.ext) | datasplit(ns.test, seed=ns.seed, split_file=ns.out_path)
-    for _ in stream:
-        pass
+    count(get_datastream(ns.dir, ext=ns.ext) | datasplit(ns.test, seed=ns.seed, split_file=ns.out_path))
     return 0
 
 
@@ -92,11 +89,23 @@ def _cmd_shard(ns) -> int:
     return 0
 
 
+def _windowed_value(path, name: str):
+    """JSONL value -> tensor for field ``name``; anything else is a data error naming file and field."""
+
+    def decode(obj):
+        try:
+            return as_tensor(from_jsonable(obj))
+        except TypeError as e:
+            raise ValueError(f"{path}: field {name!r}: {e}") from None
+
+    return decode
+
+
 def _cmd_window(ns) -> int:
     fields = [f.strip() for f in ns.fields.split(",") if f.strip()]
     stream = jsonstream(ns.in_path)
     for name in fields:
-        stream = stream | apply(name, name, from_jsonable)
+        stream = stream | apply(name, name, _windowed_value(ns.in_path, name))
     _write_jsonl(stream | sliding_window(fields, ns.size), ns.out_path)
     return 0
 

@@ -10,9 +10,11 @@ sharding for fan-out across workers.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
+
 from .errors import BadShard, BatchArity
-from .record import EvalStrategy, FieldCell, Record, Value
-from .stream import Datastream, check_count, claim_iter, pipeable
+from .record import EvalStrategy, FieldCell, Record, Value, check_name
+from .stream import Datastream, check_count, chunks, claim_iter, field_list, pipeable, reader
 from .tensor import Tensor, _pinned_tensor
 
 __all__ = [
@@ -24,14 +26,6 @@ __all__ = [
     "sliding_window",
     "shard",
 ]
-
-
-def _reader(src):
-    """Build record -> value(s) for a single name or a sequence of names."""
-    if isinstance(src, str):
-        return lambda r: r.get_field(src)
-    names = list(src)
-    return lambda r: [r.get_field(n) for n in names]
 
 
 @pipeable
@@ -48,7 +42,8 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
     """
     if not isinstance(strategy, EvalStrategy):
         raise TypeError(f"unknown strategy {strategy!r}")
-    read = _reader(src)
+    check_name(dst)
+    read = reader(src)
     it = claim_iter(s)
 
     def thunk(record: Record) -> Value:
@@ -57,7 +52,7 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
     def gen():
         for r in it:
             if strategy is EvalStrategy.EAGER:
-                r.set_field(dst, FieldCell.eager(f(read(r))))
+                r.set_value(dst, f(read(r)))
             else:
                 r.set_field(dst, FieldCell(strategy, thunk=thunk))
             yield r
@@ -86,7 +81,7 @@ def delfield(s, names) -> Datastream:
     field that a pending lazy thunk still reads: forcing that thunk
     afterwards raises MissingField for the deleted name.
     """
-    wanted = [names] if isinstance(names, str) else list(names)
+    wanted = field_list(names)
     it = claim_iter(s)
 
     def gen():
@@ -105,13 +100,14 @@ def delay(s, src: str, dst: str) -> Datastream:
     The first record receives its own value, so pairwise consumers see
     a zero-motion first pair. Forces ``src`` of every element.
     """
+    check_name(dst)
     it = claim_iter(s)
 
     def gen():
         prev = _NO_PREV
         for r in it:
             cur = r.get_field(src)
-            r.set_field(dst, FieldCell.eager(cur if prev is _NO_PREV else prev))
+            r.set_value(dst, cur if prev is _NO_PREV else prev)
             prev = cur
             yield r
 
@@ -132,25 +128,17 @@ def apply_batch(s, src: str, dst: str, f, batch_size: int) -> Datastream:
     ``batch_size``.
     """
     check_count(batch_size, "batch_size")
+    check_name(dst)
     it = claim_iter(s)
 
-    def flush(buf):
-        results = list(f([r.get_field(src) for r in buf]))
-        if len(results) != len(buf):
-            raise BatchArity(f"batch function returned {len(results)} results for {len(buf)} inputs")
-        for r, v in zip(buf, results):
-            r.set_field(dst, FieldCell.eager(v))
-        yield from buf
-
     def gen():
-        buf = []
-        for r in it:
-            buf.append(r)
-            if len(buf) == batch_size:
-                yield from flush(buf)
-                buf = []
-        if buf:
-            yield from flush(buf)
+        for buf in chunks(it, batch_size):
+            results = list(f([r.get_field(src) for r in buf]))
+            if len(results) != len(buf):
+                raise BatchArity(f"batch function returned {len(results)} results for {len(buf)} inputs")
+            for r, v in zip(buf, results):
+                r.set_value(dst, v)
+            yield from buf
 
     return Datastream(gen())
 
@@ -168,7 +156,7 @@ def sliding_window(s, fields, size: int) -> Datastream:
     window. An input shorter than ``size`` yields nothing.
     """
     check_count(size, "window size")
-    wanted = [fields] if isinstance(fields, str) else list(fields)
+    wanted = field_list(fields)
     if not wanted:
         raise ValueError("sliding_window needs at least one field")
     it = claim_iter(s)
@@ -182,10 +170,7 @@ def sliding_window(s, fields, size: int) -> Datastream:
             if len(ring) == size:
                 last = ring[-1][0]
                 for name in wanted:
-                    last.set_field(
-                        name,
-                        FieldCell.eager(Tensor.stack([v[name] for _, v in ring])),
-                    )
+                    last.set_value(name, Tensor.stack([v[name] for _, v in ring]))
                 yield last
 
     return Datastream(gen())
@@ -206,11 +191,4 @@ def shard(s, k: int, n: int) -> Datastream:
     )
     if not ok:
         raise BadShard(f"need 0 <= k < n, got k={k!r}, n={n!r}")
-    it = claim_iter(s)
-
-    def gen():
-        for i, r in enumerate(it):
-            if i % n == k:
-                yield r
-
-    return Datastream(gen())
+    return Datastream(islice(claim_iter(s), k, None, n))

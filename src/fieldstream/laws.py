@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .combinators import apply, delfield
-from .record import FieldCell, Record, Value
+from .record import Record, Value
 from .stream import Datastream, as_field, as_list, claim_iter, pipeable
 
 __all__ = [
@@ -69,7 +69,7 @@ def check_left_identity(vs: Sequence[Value], u: str, f, bind=bind_field) -> bool
     got = as_list(bind(as_field(vs, u), u, f))
     expected = []
     for v in vs:
-        r = Record().set_field(u, FieldCell.eager(v))
+        r = Record().set_value(u, v)
         produced = f(v)
         for name in produced.field_names():
             r.set_field(name, produced.cell(name))
@@ -81,7 +81,7 @@ def check_right_identity(rs: Sequence[Record], u: str, bind=bind_field) -> bool:
     """Binding the lifting function leaves every record unchanged."""
     rs = list(rs)
     snapshots = [(set(r.field_names()), r.to_dict()) for r in rs]
-    got = as_list(bind(Datastream(iter(rs)), u, lambda x: Record().set_field(u, FieldCell.eager(x))))
+    got = as_list(bind(Datastream(iter(rs)), u, lambda x: Record().set_value(u, x)))
     if len(got) != len(snapshots):
         return False
     for r, (names, values) in zip(got, snapshots):

@@ -18,6 +18,7 @@ import random
 import re
 import sys
 from collections import Counter
+from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,8 +32,8 @@ from .errors import (
     UnknownSplitLabel,
     UnlistedKey,
 )
-from .record import FieldCell, Record
-from .stream import Datastream, check_count, claim_iter, pipeable
+from .record import Record
+from .stream import Datastream, check_count, chunks, claim_iter, field_list, pipeable
 from .tensor import Tensor, _pinned_tensor
 
 __all__ = [
@@ -57,13 +58,6 @@ class SplitLabel(str, Enum):
     TRAIN = "train"
     VALID = "valid"
     TEST = "test"
-
-    @classmethod
-    def parse(cls, text) -> "SplitLabel":
-        try:
-            return cls(text)
-        except ValueError:
-            raise UnknownSplitLabel(f"unknown split label {text!r}") from None
 
 
 def _label_text(value) -> str:
@@ -152,7 +146,7 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
         def gen():
             rng = random.Random(seed)
             for r in it:
-                r.set_field(SPLIT_FIELD, FieldCell.eager(_draw_label(rng.random(), valid, test)))
+                r.set_value(SPLIT_FIELD, _draw_label(rng.random(), valid, test))
                 yield r
     elif os.path.exists(split_file):
         def gen():
@@ -162,7 +156,7 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
                 label = table.get(key)
                 if label is None:
                     raise UnlistedKey(f"key {key!r} not present in {split_file}")
-                r.set_field(SPLIT_FIELD, FieldCell.eager(label))
+                r.set_value(SPLIT_FIELD, label)
                 yield r
     else:
         def gen():
@@ -172,7 +166,7 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
             for r in records:
                 label = _draw_label(rng.random(), valid, test)
                 assignments[r.get_field(key_field)] = label
-                r.set_field(SPLIT_FIELD, FieldCell.eager(label))
+                r.set_value(SPLIT_FIELD, label)
             _save_split_file(split_file, assignments)
             yield from records
 
@@ -202,7 +196,7 @@ def datasplit_by_pattern(s, test_pattern: str, valid_pattern: str | None = None,
                 label = SplitLabel.VALID
             else:
                 label = SplitLabel.TRAIN
-            r.set_field(SPLIT_FIELD, FieldCell.eager(label))
+            r.set_value(SPLIT_FIELD, label)
             yield r
 
     return Datastream(gen())
@@ -323,9 +317,11 @@ def make_train_test_split(s, split_field: str = SPLIT_FIELD):
 def infshuffle(s, seed: int = 0) -> Datastream:
     """Infinite stream of shuffled epochs over a materialized input.
 
-    Each epoch is a fresh seeded permutation of the full input, and the
-    records are re-emitted by reference, so on-demand fields recompute
-    once per epoch occurrence (fresh augmentation every pass).
+    Each epoch is a fresh seeded permutation of the full input. Every
+    emission, in the first epoch too, is a new record sharing the input
+    record's cells, so what later stages set or delete never reaches
+    the next epoch, memoized fields compute once, and on-demand fields
+    recompute once per emission (fresh augmentation every pass).
     """
     it = claim_iter(s)
 
@@ -338,7 +334,7 @@ def infshuffle(s, seed: int = 0) -> Datastream:
         while True:
             rng.shuffle(order)
             for i in order:
-                yield records[i]
+                yield copy(records[i])
 
     return Datastream(gen())
 
@@ -353,19 +349,12 @@ def as_batch(s, feature_fields, label_field: str, batch_size: int = 32) -> Datas
     partial batch; an infinite stream yields batches forever.
     """
     check_count(batch_size, "batch_size")
-    names = [feature_fields] if isinstance(feature_fields, str) else list(feature_fields)
+    names = field_list(feature_fields)
     it = claim_iter(s)
 
     def gen():
         shapes: dict[str, tuple[int, ...]] = {}
-        while True:
-            chunk: list[Record] = []
-            for r in it:
-                chunk.append(r)
-                if len(chunk) == batch_size:
-                    break
-            if not chunk:
-                return
+        for chunk in chunks(it, batch_size):
             features = {
                 name: Tensor.stack([_pinned_tensor(shapes, name, r.get_field(name)) for r in chunk])
                 for name in names
@@ -376,7 +365,5 @@ def as_batch(s, feature_fields, label_field: str, batch_size: int = 32) -> Datas
             except ValueError as e:
                 raise NonNumericLabel(f"label field {label_field!r}: {e}") from None
             yield Batch(features=features, labels=labels, size=len(chunk))
-            if len(chunk) < batch_size:
-                return
 
     return Datastream(gen())

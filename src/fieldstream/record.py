@@ -43,6 +43,12 @@ Thunk = Callable[["Record"], Value]
 _UNSET = object()
 
 
+def check_name(name) -> None:
+    """Raise ValueError unless ``name`` is a non-empty string, the one rule for field names."""
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"field name must be a non-empty string, got {name!r}")
+
+
 class EvalStrategy(Enum):
     """How a field obtains its value when read."""
 
@@ -140,8 +146,7 @@ class Record:
         return cell.get(self)
 
     def set_field(self, name: str, cell: FieldCell) -> "Record":
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"field name must be a non-empty string, got {name!r}")
+        check_name(name)
         if not isinstance(cell, FieldCell):
             raise TypeError(f"expected a FieldCell, got {type(cell).__name__}")
         self._cells[name] = cell
@@ -179,6 +184,17 @@ class Record:
         r = Record()
         for name, cell in self._cells.items():
             r._cells[name] = cell.clone()
+        return r
+
+    def __copy__(self) -> "Record":
+        """New record sharing this one's cells; a later set or delete on either leaves the other alone.
+
+        A store replaces a cell and never changes it, so sharing is
+        safe: a memoized cell still computes once, and an on-demand
+        cell still recomputes on every read of either record.
+        """
+        r = Record.__new__(Record)
+        r._cells = self._cells.copy()
         return r
 
     def __getitem__(self, name: str) -> Value:

@@ -22,9 +22,10 @@ from __future__ import annotations
 import inspect
 from collections.abc import Iterable, Iterator, Mapping
 from functools import update_wrapper
+from itertools import islice
 
 from .errors import SingleUseViolation
-from .record import FieldCell, Record, Value
+from .record import Record, Value, check_name
 
 __all__ = [
     "Datastream",
@@ -153,6 +154,32 @@ def check_count(value, what: str, minimum: int = 1) -> None:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
+def field_list(names) -> list[str]:
+    """One field name or a sequence of them, as a list of checked names."""
+    wanted = [names] if isinstance(names, str) else list(names)
+    for name in wanted:
+        check_name(name)
+    return wanted
+
+
+def reader(names):
+    """Record -> value for one name, or record -> list of values for a sequence of names."""
+    wanted = field_list(names)
+    if isinstance(names, str):
+        return lambda r: r.get_field(names)
+    return lambda r: [r.get_field(n) for n in wanted]
+
+
+def chunks(it: Iterator, n: int) -> Iterator[list]:
+    """Lists of ``n`` consecutive items; the last may be shorter, and nothing is pulled after it."""
+    while True:
+        chunk = list(islice(it, n))
+        if chunk:
+            yield chunk
+        if len(chunk) < n:
+            return
+
+
 @pipeable
 def pipe(s, stage) -> Datastream:
     """Apply one stream transformer; the explicit spelling of ``s | stage``."""
@@ -167,15 +194,9 @@ def pipe(s, stage) -> Datastream:
 @pipeable
 def as_field(s, name: str) -> Datastream:
     """Lift a stream of plain values into single-field eager records."""
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"field name must be a non-empty string, got {name!r}")
+    check_name(name)
     it = claim_iter(s)
-
-    def gen():
-        for v in it:
-            yield Record().set_field(name, FieldCell.eager(v))
-
-    return Datastream(gen())
+    return Datastream(Record().set_value(name, v) for v in it)
 
 
 @pipeable
@@ -186,20 +207,9 @@ def select_field(s, names) -> Datastream:
     names yields one list per record, in the given order. A record
     lacking a requested field fails at its own position in the stream.
     """
+    read = reader(names)
     it = claim_iter(s)
-
-    if isinstance(names, str):
-        def gen():
-            for r in it:
-                yield r.get_field(names)
-    else:
-        wanted = list(names)
-
-        def gen():
-            for r in it:
-                yield [r.get_field(n) for n in wanted]
-
-    return Datastream(gen())
+    return Datastream(map(read, it))
 
 
 @pipeable
@@ -212,17 +222,7 @@ def as_list(s) -> list:
 def take(s, n: int) -> Datastream:
     """At most ``n`` elements, pulling upstream exactly min(n, len) times."""
     check_count(n, "take count", minimum=0)
-    it = claim_iter(s)
-
-    def gen():
-        for _ in range(n):
-            try:
-                x = next(it)
-            except StopIteration:
-                return
-            yield x
-
-    return Datastream(gen())
+    return Datastream(islice(claim_iter(s), n))
 
 
 @pipeable
@@ -237,13 +237,14 @@ def fold(s, field: str, init: Value, f) -> Value:
 @pipeable
 def scan(s, src: str, dst: str, init: Value, f) -> Datastream:
     """Running left-fold: element i gains ``dst`` = fold of values 0..i."""
+    check_name(dst)
     it = claim_iter(s)
 
     def gen():
         acc = init
         for r in it:
             acc = f(acc, r.get_field(src))
-            r.set_field(dst, FieldCell.eager(acc))
+            r.set_value(dst, acc)
             yield r
 
     return Datastream(gen())

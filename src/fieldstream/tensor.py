@@ -64,11 +64,6 @@ class Tensor:
 
         return build(list(self._shape), 0)
 
-    def item(self) -> float:
-        if len(self._data) != 1:
-            raise ValueError(f"item() needs exactly one element, tensor has {len(self._data)}")
-        return self._data[0]
-
     @staticmethod
     def stack(tensors: Sequence["Tensor"]) -> "Tensor":
         """Stack equal-shaped tensors along a new leading axis."""

@@ -1,0 +1,27 @@
+"""Smoke test of the benchmark harness on tiny inputs."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_traced_classify_epochs_run_is_correct():
+    """A one-second traced run of the README pipeline workload.
+
+    The tracer patches ``Record.set_field``, the plain function behind
+    each pipeable (``__wrapped__``) and ``Tensor.__init__``; a rename of
+    any of them makes this run fail.
+    """
+    cmd = [
+        sys.executable, "bench/run.py", "--workload", "classify_epochs", "--seed", "7",
+        "--seconds", "1", "--trace", "1", "--size", "tiny",
+    ]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["record.set_calls"]["value"] > 0

@@ -48,10 +48,16 @@ def test_data_error_exits_2(tmp_path, capsys):
     assert run_cli(["shard", "--in", str(tmp_path / "missing.jsonl"), "--k", "0", "--n", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "missing.jsonl" in err
-    huge = tmp_path / "huge.jsonl"
-    write(huge, '{"x":{"t":"tensor","shape":[1],"data":[1' + "0" * 400 + "]}}\n")
-    assert run_cli(["window", "--in", str(huge), "--fields", "x", "--size", "1", "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    bad_rows = [
+        '{"x":{"t":"tensor","shape":[1],"data":[1' + "0" * 400 + "]}}",
+        '{"x":"abc"}',
+        '{"x":1' + "0" * 400 + "}",
+    ]
+    for i, row in enumerate(bad_rows):
+        bad = tmp_path / f"bad{i}.jsonl"
+        write(bad, row + "\n")
+        assert run_cli(["window", "--in", str(bad), "--fields", "x", "--size", "1", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_bad_shard_parameters_exit_2(tmp_path):

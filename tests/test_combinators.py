@@ -17,11 +17,15 @@ from fieldstream import (
     Tensor,
     apply,
     apply_batch,
+    apply_cached,
+    as_batch,
     as_field,
     as_list,
     delay,
     delfield,
     filter_field,
+    scan,
+    select_field,
     shard,
     sliding_window,
 )
@@ -103,6 +107,27 @@ def test_apply_rejects_unknown_strategy_when_composed():
     source = CountingSource([1, 2])
     with pytest.raises(TypeError):
         as_field(source.stream(), "x") | apply("x", "y", lambda v: v, strategy="eager")
+    assert source.pulls == 0
+
+
+_BAD_NAME_STAGES = {
+    "apply": lambda tmp: apply("x", "", lambda v: v),
+    "scan": lambda tmp: scan("x", 5, 0, max),
+    "delay": lambda tmp: delay("x", ""),
+    "apply_batch": lambda tmp: apply_batch("x", None, lambda vs: vs, 2),
+    "apply_cached": lambda tmp: apply_cached("x", "", str, tmp),
+    "delfield": lambda tmp: delfield(["x", ""]),
+    "sliding_window": lambda tmp: sliding_window(fields=["x", 7], size=2),
+    "as_batch": lambda tmp: as_batch(feature_fields=["x", ""], label_field="x", batch_size=2),
+    "select_field": lambda tmp: select_field(["x", None]),
+}
+
+
+@pytest.mark.parametrize("stage", _BAD_NAME_STAGES.values(), ids=list(_BAD_NAME_STAGES))
+def test_bad_field_name_fails_when_composed(stage, tmp_path):
+    source = CountingSource([1, 2])
+    with pytest.raises(ValueError):
+        as_field(source.stream(), "x") | stage(tmp_path)
     assert source.pulls == 0
 
 

@@ -5,6 +5,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fieldstream import (
     BadPattern,
@@ -19,12 +21,15 @@ from fieldstream import (
     Tensor,
     UnknownSplitLabel,
     UnlistedKey,
+    apply,
     as_batch,
     as_list,
     datasplit,
     datasplit_by_pattern,
+    delfield,
     infshuffle,
     make_train_test_split,
+    sliding_window,
     stratify_sample,
     stratify_sample_tt,
     summary,
@@ -335,6 +340,28 @@ def test_infshuffle_reemits_by_reference():
     for got in out:
         got.get_field("aug")
     assert cell.eval_count == 3
+
+
+_AFTER_INFSHUFFLE = {
+    "delfield": lambda: delfield("y"),
+    "sliding_window": lambda: sliding_window("x", 2),
+    "apply": lambda: apply("x", "x", lambda v: v + 100),
+}
+
+
+@pytest.mark.parametrize("stage", _AFTER_INFSHUFFLE.values(), ids=list(_AFTER_INFSHUFFLE))
+@given(xs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5), seed=st.integers(0, 2**16))
+def test_stage_after_infshuffle_sees_unchanged_input_every_epoch(stage, xs, seed):
+    """Over two epochs a stage behaves as on fresh records: its writes never reach the next epoch."""
+
+    def shuffled():
+        rows = recs([{"k": i, "x": x, "y": -x} for i, x in enumerate(xs)])
+        return take(infshuffle(ds(rows), seed=seed), 2 * len(xs))
+
+    fresh = recs([r.to_dict() for r in as_list(shuffled())])
+    expected = [r.to_dict() for r in as_list(ds(fresh) | stage())]
+    got = [r.to_dict() for r in as_list(shuffled() | stage())]
+    assert got == expected
 
 
 # as_batch ------------------------------------------------------------------------------------

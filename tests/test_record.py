@@ -1,5 +1,6 @@
 """Record, field cells and the three evaluation strategies."""
 
+import copy
 import itertools
 import random
 
@@ -152,6 +153,21 @@ def test_clone_is_independent():
     assert len(calls) == 2  # each clone forces its own cell
     assert r.cell("y").eval_count == 1
     assert c.cell("y").eval_count == 1
+
+
+def test_copy_shares_cells_but_not_the_field_map():
+    calls = []
+    r = Record(x=1, gone=0)
+    r.set_field("y", FieldCell.lazy_memoized(lambda rr: calls.append(1) or rr.get_field("x")))
+    c = copy.copy(r)
+    c.set_value("x", 99)
+    c.delete_field("gone")
+    assert r.field_names() == ["x", "gone", "y"]
+    assert r.get_field("x") == 1
+    assert c.get_field("y") == 99  # forced first through the copy
+    assert r.get_field("y") == 99  # the shared cell keeps that value
+    assert len(calls) == 1
+    assert r.cell("y") is c.cell("y")
 
 
 def test_dict_sugar():
