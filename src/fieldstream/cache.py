@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+from contextlib import contextmanager
 
 from .errors import CacheCorrupt
 from .record import Value, check_name
@@ -114,14 +114,23 @@ def decode_value(blob: bytes | str) -> Value:
     return from_jsonable(payload["value"])
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file and rename, so readers never see a partial file."""
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temp file beside ``path`` for writing; a clean exit renames it onto ``path``.
+
+    On an exception the temp file is removed and ``path`` is left as it
+    was, so readers never see a partial file. The file is created with
+    the permissions a plain ``open`` would give it.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as e:
+        raise type(e)(e.errno, e.strerror, path) from None
+    try:
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -129,6 +138,12 @@ def atomic_write_bytes(path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write via a temp file and rename, so readers never see a partial file."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(data)
 
 
 @pipeable

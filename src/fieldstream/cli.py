@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .cache import from_jsonable, to_jsonable
+from .cache import atomic_open, from_jsonable, to_jsonable
 from .combinators import apply, shard, sliding_window
 from .errors import FieldstreamError, RaggedRow
 from .mlprep import datasplit, stratify_sample, summary
@@ -29,7 +29,7 @@ __all__ = ["run_cli", "main"]
 
 
 def _write_jsonl(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         for r in records:
             fh.write(json.dumps(to_jsonable(r.to_dict()), ensure_ascii=False) + "\n")
 
@@ -41,7 +41,7 @@ def _csv_cell(value) -> str:
 
 
 def _write_csv(records, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header: list[str] | None = None
         for r in records:

@@ -28,13 +28,24 @@ class Tensor:
         for dim in shape:
             if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
                 raise ValueError(f"bad tensor dimension {dim!r}")
-        flat = tuple(map(to_float, data))
+        flat = tuple(data)
+        if set(map(type, flat)) != {float}:  # exact floats are valid as they are
+            flat = tuple(map(to_float, flat))
         if len(flat) != math.prod(shape):
             raise ValueError(
                 f"tensor data has {len(flat)} elements, shape {shape} needs {math.prod(shape)}"
             )
         self._shape = shape
         self._data = flat
+
+    @classmethod
+    def _trusted(cls, shape: tuple[int, ...], flat: tuple[float, ...]) -> "Tensor":
+        """A tensor built with no checks: ``shape`` must be a tuple of valid
+        dimensions and ``flat`` a tuple of exact floats of matching length."""
+        t = object.__new__(cls)
+        t._shape = shape
+        t._data = flat
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -70,14 +81,13 @@ class Tensor:
         tensors = list(tensors)
         if not tensors:
             raise ValueError("cannot stack zero tensors")
-        base = tensors[0].shape
-        for t in tensors:
-            if t.shape != base:
-                raise ShapeMismatch(f"cannot stack shape {t.shape} with shape {base}")
+        base = tensors[0]._shape
         data: list[float] = []
         for t in tensors:
-            data.extend(t.data)
-        return Tensor((len(tensors),) + base, data)
+            if t._shape != base:
+                raise ShapeMismatch(f"cannot stack shape {t._shape} with shape {base}")
+            data.extend(t._data)
+        return Tensor._trusted((len(tensors),) + base, tuple(data))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):

@@ -60,6 +60,22 @@ def test_data_error_exits_2(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_data_error_leaves_output_untouched(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    write(src, '{"x":1}\n{"x":2}\n{"x":"abc"}\n')
+    out = tmp_path / "o.jsonl"
+    write(out, "earlier\n")
+    assert run_cli(["window", "--in", str(src), "--fields", "x", "--size", "1", "--out", str(out)]) == 2
+    assert out.read_text(encoding="utf-8") == "earlier\n"
+    fresh = tmp_path / "fresh.jsonl"
+    assert run_cli(["window", "--in", str(src), "--fields", "x", "--size", "1", "--out", str(fresh)]) == 2
+    assert not fresh.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "o.jsonl"]
+    missing = tmp_path / "no-such-dir" / "o.jsonl"
+    assert run_cli(["shard", "--in", str(src), "--k", "0", "--n", "1", "--out", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_bad_shard_parameters_exit_2(tmp_path):
     src = tmp_path / "in.jsonl"
     write(src, '{"a":1}\n')
