@@ -178,7 +178,7 @@ def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") ->
             else:
                 value = f(read(r))
                 atomic_write_bytes(path, encode_value(value))
-            r.set_value(dst, value)
+            r.set_field(dst, value)
             yield r
 
     return Datastream(gen())

@@ -20,7 +20,7 @@ import sys
 from .cache import atomic_open, from_jsonable, to_jsonable
 from .combinators import apply, shard, sliding_window
 from .errors import FieldstreamError, RaggedRow
-from .mlprep import datasplit, stratify_sample, summary
+from .mlprep import _save_split_file, datasplit, stratify_sample, summary
 from .sources import csvsource, get_datastream, jsonstream
 from .stream import count
 from .tensor import as_tensor
@@ -73,9 +73,8 @@ def _cmd_summary(ns) -> int:
 
 
 def _cmd_split(ns) -> int:
-    if os.path.exists(ns.out_path):
-        os.unlink(ns.out_path)  # recompute from the given seed, not reload
-    count(get_datastream(ns.dir, ext=ns.ext) | datasplit(ns.test, seed=ns.seed, split_file=ns.out_path))
+    split = get_datastream(ns.dir, ext=ns.ext) | datasplit(ns.test, seed=ns.seed)
+    _save_split_file(ns.out_path, split, "filename")
     return 0
 
 

@@ -49,15 +49,17 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
     def thunk(record: Record) -> Value:
         return f(read(record))
 
-    def gen():
+    def eager():
         for r in it:
-            if strategy is EvalStrategy.EAGER:
-                r.set_value(dst, f(read(r)))
-            else:
-                r.set_field(dst, FieldCell(strategy, thunk=thunk))
+            r.set_field(dst, f(read(r)))
             yield r
 
-    return Datastream(gen())
+    def lazy():
+        for r in it:
+            r.set_field(dst, FieldCell(strategy, thunk=thunk))
+            yield r
+
+    return Datastream(eager() if strategy is EvalStrategy.EAGER else lazy())
 
 
 @pipeable
@@ -107,7 +109,7 @@ def delay(s, src: str, dst: str) -> Datastream:
         prev = _NO_PREV
         for r in it:
             cur = r.get_field(src)
-            r.set_value(dst, cur if prev is _NO_PREV else prev)
+            r.set_field(dst, cur if prev is _NO_PREV else prev)
             prev = cur
             yield r
 
@@ -137,7 +139,7 @@ def apply_batch(s, src: str, dst: str, f, batch_size: int) -> Datastream:
             if len(results) != len(buf):
                 raise BatchArity(f"batch function returned {len(results)} results for {len(buf)} inputs")
             for r, v in zip(buf, results):
-                r.set_value(dst, v)
+                r.set_field(dst, v)
             yield from buf
 
     return Datastream(gen())
@@ -170,7 +172,7 @@ def sliding_window(s, fields, size: int) -> Datastream:
             if len(ring) == size:
                 last = ring[-1][0]
                 for name in wanted:
-                    last.set_value(name, Tensor.stack([v[name] for _, v in ring]))
+                    last.set_field(name, Tensor.stack([v[name] for _, v in ring]))
                 yield last
 
     return Datastream(gen())

@@ -42,14 +42,18 @@ def bind_field(s, u: str, f) -> Datastream:
 
     def gen():
         for r in it:
-            produced = f(r.get_field(u))
-            if not isinstance(produced, Record):
-                raise TypeError(f"bind function must return a Record, got {type(produced).__name__}")
-            for name in produced.field_names():
-                r.set_field(name, produced.cell(name))
-            yield r
+            yield _merge(r, f(r.get_field(u)))
 
     return Datastream(gen())
+
+
+def _merge(r: Record, produced) -> Record:
+    """Store every field of ``produced`` into ``r``, lazy cells as the same objects."""
+    if not isinstance(produced, Record):
+        raise TypeError(f"bind function must return a Record, got {type(produced).__name__}")
+    for name, value in produced._cells.items():
+        r.set_field(name, value)
+    return r
 
 
 def records_equal(a: Record, b: Record) -> bool:
@@ -67,13 +71,7 @@ def check_left_identity(vs: Sequence[Value], u: str, f, bind=bind_field) -> bool
     """Lift-then-bind equals map: bind(as_field(vs, u), u, f) vs f(v) plus {u: v}."""
     vs = list(vs)
     got = as_list(bind(as_field(vs, u), u, f))
-    expected = []
-    for v in vs:
-        r = Record().set_value(u, v)
-        produced = f(v)
-        for name in produced.field_names():
-            r.set_field(name, produced.cell(name))
-        expected.append(r)
+    expected = [_merge(Record().set_field(u, v), f(v)) for v in vs]
     return _streams_equal(got, expected)
 
 
@@ -81,7 +79,7 @@ def check_right_identity(rs: Sequence[Record], u: str, bind=bind_field) -> bool:
     """Binding the lifting function leaves every record unchanged."""
     rs = list(rs)
     snapshots = [(set(r.field_names()), r.to_dict()) for r in rs]
-    got = as_list(bind(Datastream(iter(rs)), u, lambda x: Record().set_value(u, x)))
+    got = as_list(bind(Datastream(iter(rs)), u, lambda x: Record().set_field(u, x)))
     if len(got) != len(snapshots):
         return False
     for r, (names, values) in zip(got, snapshots):

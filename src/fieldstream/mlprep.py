@@ -121,8 +121,9 @@ def _load_split_file(path) -> dict[str, SplitLabel]:
     return out
 
 
-def _save_split_file(path, assignments: dict[str, SplitLabel]) -> None:
-    plain = {k: v.value for k, v in assignments.items()}
+def _save_split_file(path, records, key_field: str) -> None:
+    """Write the ``{key: label}`` table of split-labelled records, atomically."""
+    plain = {r.get_field(key_field): r.get_field(SPLIT_FIELD).value for r in records}
     text = json.dumps(plain, indent=2, sort_keys=True) + "\n"
     atomic_write_bytes(path, text.encode("utf-8"))
 
@@ -142,12 +143,14 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
     valid, test = _normalize_fractions(split_value)
     it = claim_iter(s)
 
+    def drawn():
+        rng = random.Random(seed)
+        for r in it:
+            r.set_field(SPLIT_FIELD, _draw_label(rng.random(), valid, test))
+            yield r
+
     if split_file is None:
-        def gen():
-            rng = random.Random(seed)
-            for r in it:
-                r.set_value(SPLIT_FIELD, _draw_label(rng.random(), valid, test))
-                yield r
+        gen = drawn
     elif os.path.exists(split_file):
         def gen():
             table = _load_split_file(split_file)
@@ -156,18 +159,12 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
                 label = table.get(key)
                 if label is None:
                     raise UnlistedKey(f"key {key!r} not present in {split_file}")
-                r.set_value(SPLIT_FIELD, label)
+                r.set_field(SPLIT_FIELD, label)
                 yield r
     else:
         def gen():
-            rng = random.Random(seed)
-            records = list(it)
-            assignments: dict[str, SplitLabel] = {}
-            for r in records:
-                label = _draw_label(rng.random(), valid, test)
-                assignments[r.get_field(key_field)] = label
-                r.set_value(SPLIT_FIELD, label)
-            _save_split_file(split_file, assignments)
+            records = list(drawn())
+            _save_split_file(split_file, records, key_field)
             yield from records
 
     return Datastream(gen())
@@ -196,7 +193,7 @@ def datasplit_by_pattern(s, test_pattern: str, valid_pattern: str | None = None,
                 label = SplitLabel.VALID
             else:
                 label = SplitLabel.TRAIN
-            r.set_value(SPLIT_FIELD, label)
+            r.set_field(SPLIT_FIELD, label)
             yield r
 
     return Datastream(gen())

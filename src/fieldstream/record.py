@@ -1,14 +1,14 @@
 """Multi-field records with per-field evaluation strategies.
 
-A :class:`Record` is an ordered collection of named field cells. Each
-cell carries one of three strategies:
+A :class:`Record` is an ordered collection of named fields. Each field
+carries one of three strategies:
 
-* ``EAGER``: the value was computed up front and is stored.
-* ``LAZY_MEMOIZED``: a thunk runs on the first access, the result is
-  stored, and the thunk is never invoked again.
-* ``ON_DEMAND``: the thunk runs on every access and nothing is stored,
-  so an impure thunk (augmentation, sampling) yields a fresh value per
-  read.
+* ``EAGER``: the value was computed up front and is stored bare.
+* ``LAZY_MEMOIZED``: a :class:`FieldCell` thunk runs on the first
+  access, the result is stored, and the thunk is never invoked again.
+* ``ON_DEMAND``: a :class:`FieldCell` thunk runs on every access and
+  nothing is stored, so an impure thunk (augmentation, sampling)
+  yields a fresh value per read.
 
 Thunks take the whole record and read their inputs through
 :meth:`Record.get_field` at force time. Lazy chains therefore force
@@ -17,14 +17,14 @@ raises :class:`~fieldstream.errors.MissingField` naming the deleted
 field. Thunks behind LAZY_MEMOIZED cells are expected to be pure; this
 is a documented requirement, not an enforced one.
 
-Each cell counts its thunk invocations in ``eval_count``. The counter
-is part of the public contract so strategy semantics stay observable in
-tests; it is a single integer increment and always on.
+Each cell counts its thunk invocations in ``eval_count``, which is
+part of the public contract so strategy semantics stay observable; for
+an eager field :meth:`Record.cell` gives a fresh view with count 0.
 
-A record is confined to one consumer at a time. Records whose cells are
-all eager may move freely between threads; records with pending thunks
-may move only if the thunks are pure and transferable. No locking is
-performed.
+A record is confined to one consumer at a time. Records whose fields
+are all eager may move freely between threads; records with pending
+thunks may move only if the thunks are pure and transferable. No
+locking is performed.
 """
 
 from __future__ import annotations
@@ -88,17 +88,14 @@ class FieldCell:
 
     def get(self, record: "Record") -> Value:
         """Produce the value, forcing the thunk as the strategy dictates."""
-        if self.strategy is EvalStrategy.EAGER:
-            return self._stored
-        if self.strategy is EvalStrategy.LAZY_MEMOIZED:
-            if self._stored is _UNSET:
-                thunk = self._thunk
-                self.eval_count += 1
-                self._stored = thunk(record)
-                self._thunk = None  # release the closure; never invoked again
+        if self._stored is not _UNSET:
             return self._stored
         self.eval_count += 1
-        return self._thunk(record)
+        value = self._thunk(record)
+        if self.strategy is EvalStrategy.LAZY_MEMOIZED:
+            self._stored = value
+            self._thunk = None  # release the closure; never invoked again
+        return value
 
     def clone(self) -> "FieldCell":
         """Fresh cell with the same strategy and payload; eval_count resets."""
@@ -117,7 +114,7 @@ class FieldCell:
 
 
 class Record:
-    """Ordered map of field names to cells; the element type of a stream.
+    """Ordered map of field names to values or thunk cells; the element type of a stream.
 
     ``Record(x=1, y=2)`` builds eager fields in keyword order. New
     fields append; replacing a field keeps its position. Field names
@@ -127,34 +124,36 @@ class Record:
     __slots__ = ("_cells",)
 
     def __init__(self, /, **values: Value):
-        self._cells: dict[str, FieldCell] = {}
+        self._cells: dict[str, Value] = {}
         for name, value in values.items():
-            self.set_value(name, value)
+            self.set_field(name, value)
 
     @classmethod
     def from_values(cls, values: Mapping[str, Value]) -> "Record":
         """Eager record from a mapping; needed when names aren't identifiers."""
         r = cls()
         for name, value in values.items():
-            r.set_value(name, value)
+            r.set_field(name, value)
         return r
 
     def get_field(self, name: str) -> Value:
-        cell = self._cells.get(name)
-        if cell is None:
-            raise MissingField(name)
-        return cell.get(self)
+        try:
+            value = self._cells[name]
+        except KeyError:
+            raise MissingField(name) from None
+        return value.get(self) if type(value) is FieldCell else value
 
-    def set_field(self, name: str, cell: FieldCell) -> "Record":
+    def set_field(self, name: str, value: Value) -> "Record":
+        """The one store: keeps a thunk cell, unwraps an EAGER cell, stores any other value bare (no TypeError)."""
         check_name(name)
-        if not isinstance(cell, FieldCell):
-            raise TypeError(f"expected a FieldCell, got {type(cell).__name__}")
-        self._cells[name] = cell
+        if type(value) is FieldCell and value.strategy is EvalStrategy.EAGER:
+            value = value._stored
+        self._cells[name] = value
         return self
 
     def set_value(self, name: str, value: Value) -> "Record":
-        """Shorthand for installing an eager cell."""
-        return self.set_field(name, FieldCell.eager(value))
+        """Store an eager value; the same store as :meth:`set_field`."""
+        return self.set_field(name, value)
 
     def delete_field(self, name: str) -> "Record":
         if name not in self._cells:
@@ -166,11 +165,11 @@ class Record:
         return list(self._cells)
 
     def cell(self, name: str) -> FieldCell:
-        """The raw cell, for strategy or eval_count inspection."""
-        cell = self._cells.get(name)
-        if cell is None:
+        """A thunk field's stored cell, or a fresh EAGER view of an eager value (``eval_count`` 0)."""
+        value = self._cells.get(name, _UNSET)
+        if value is _UNSET:
             raise MissingField(name)
-        return cell
+        return value if type(value) is FieldCell else FieldCell.eager(value)
 
     def has_field(self, name: str) -> bool:
         return name in self._cells
@@ -182,8 +181,8 @@ class Record:
     def clone(self) -> "Record":
         """New record with cloned cells (same strategies, fresh counters)."""
         r = Record()
-        for name, cell in self._cells.items():
-            r._cells[name] = cell.clone()
+        for name, value in self._cells.items():
+            r._cells[name] = value.clone() if type(value) is FieldCell else value
         return r
 
     def __copy__(self) -> "Record":
@@ -201,7 +200,7 @@ class Record:
         return self.get_field(name)
 
     def __setitem__(self, name: str, value: Value) -> None:
-        self.set_value(name, value)
+        self.set_field(name, value)
 
     def __contains__(self, name: str) -> bool:
         return name in self._cells
@@ -211,9 +210,9 @@ class Record:
 
     def __repr__(self) -> str:
         parts = []
-        for name, cell in self._cells.items():
-            if cell.strategy is EvalStrategy.EAGER:
-                parts.append(f"{name}={cell._stored!r}")
+        for name, value in self._cells.items():
+            if type(value) is FieldCell:
+                parts.append(f"{name}=<{value.strategy.value}>")
             else:
-                parts.append(f"{name}=<{cell.strategy.value}>")
+                parts.append(f"{name}={value!r}")
         return f"Record({', '.join(parts)})"

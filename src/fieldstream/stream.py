@@ -13,8 +13,8 @@ Combinators decorated with :func:`pipeable` support both call shapes::
     stream | as_list       # zero-argument stages may drop the parens
 
 Either way the stage is lazy: composing performs zero upstream pulls.
-Plain iterables (lists, generators) are accepted wherever a stream is
-expected.
+A list or tuple first is the stream only if the call cannot also read
+as a stage; one that binds both ways raises TypeError.
 """
 
 from __future__ import annotations
@@ -133,6 +133,10 @@ class _Pipeable:
 
     def __call__(self, *args, **kwargs):
         if args and _is_stream_like(args[0]) and self._binds_fully(args, kwargs):
+            if not isinstance(args[0], (Datastream, Iterator)) and self._binds_fully((None,) + args, kwargs):
+                stream, first = list(self._sig.parameters)[:2]
+                raise TypeError(f"ambiguous call to {self._func.__name__}(): the first argument binds as both "
+                                f"{stream!r} (run now) and {first!r} (a stage for |); pass iter(...) or use keywords")
             return self._func(*args, **kwargs)
         return _BoundStage(self._func, args, kwargs)
 
@@ -196,7 +200,7 @@ def as_field(s, name: str) -> Datastream:
     """Lift a stream of plain values into single-field eager records."""
     check_name(name)
     it = claim_iter(s)
-    return Datastream(Record().set_value(name, v) for v in it)
+    return Datastream(Record().set_field(name, v) for v in it)
 
 
 @pipeable
@@ -244,7 +248,7 @@ def scan(s, src: str, dst: str, init: Value, f) -> Datastream:
         acc = init
         for r in it:
             acc = f(acc, r.get_field(src))
-            r.set_value(dst, acc)
+            r.set_field(dst, acc)
             yield r
 
     return Datastream(gen())

@@ -76,6 +76,21 @@ def test_data_error_leaves_output_untouched(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_split_data_error_keeps_earlier_output(pet_tree, tmp_path, capsys):
+    out = tmp_path / "split.json"
+    args = ["split", "--dir", str(pet_tree), "--seed", "1", "--ext", ".jpg", "--out", str(out)]
+    assert run_cli(args + ["--test", "0.4"]) == 0
+    before = out.read_bytes()
+    lib_file = tmp_path / "lib.json"
+    for _ in get_datastream(pet_tree, ext=".jpg") | datasplit(0.4, seed=1, split_file=lib_file):
+        pass
+    assert before == lib_file.read_bytes()
+    assert run_cli(args + ["--test", "1.5"]) == 2
+    assert "1.5" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lib.json", "pets", "split.json"]
+
+
 def test_bad_shard_parameters_exit_2(tmp_path):
     src = tmp_path / "in.jsonl"
     write(src, '{"a":1}\n')

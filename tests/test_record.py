@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fieldstream import EvalStrategy, FieldCell, MissingField, Record
+from fieldstream import EvalStrategy, FieldCell, MissingField, Record, apply, as_field, as_list
 
 
 def test_eager_get():
@@ -175,3 +175,76 @@ def test_dict_sugar():
     r["y"] = 5
     assert "y" in r and r["y"] == 5
     assert len(r) == 2
+
+
+# eager fields are stored bare; FieldCell only for thunks -----------------------
+
+@pytest.fixture
+def cell_inits(monkeypatch):
+    """Counts FieldCell constructions (every constructor goes through __init__)."""
+    calls = []
+    init = FieldCell.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FieldCell, "__init__", counting)
+    return calls
+
+
+def test_eager_stores_build_no_cell(cell_inits):
+    r = Record.from_values({"a": 1, "b": "t", "c": None, "d": 2.5, "e": [1]})
+    assert r.to_dict() == {"a": 1, "b": "t", "c": None, "d": 2.5, "e": [1]}
+    assert cell_inits == []
+    out = as_list(as_field([1, 2, 3], "x") | apply("x", "y", lambda v: v * 2))
+    assert [o.get_field("y") for o in out] == [2, 4, 6]
+    assert cell_inits == []
+    as_list(as_field([1, 2], "x") | apply("x", "y", lambda v: v, strategy=EvalStrategy.ON_DEMAND))
+    assert len(cell_inits) == 2  # one thunk cell per record, and nothing else
+
+
+def test_set_field_unwraps_eager_cells_and_keeps_thunk_cells():
+    eager = FieldCell.eager(5)
+    lazy = FieldCell.lazy_memoized(lambda rr: rr.get_field("x") + 1)
+    r = Record().set_field("x", eager).set_field("v", [1, 2]).set_field("y", lazy)
+    assert r.cell("x") is not eager
+    assert r.to_dict() == {"x": 5, "v": [1, 2], "y": 6}
+    assert r.cell("v").strategy is EvalStrategy.EAGER
+    assert r.cell("y") is lazy
+    c = copy.copy(r)
+    assert c.cell("y") is lazy
+    assert lazy.eval_count == 1
+
+
+def test_eager_cell_is_a_fresh_view():
+    r = Record(x=[1])
+    view = r.cell("x")
+    assert view.strategy is EvalStrategy.EAGER and view.eval_count == 0
+    assert view.get(r) is r.get_field("x")
+    view.eval_count = 9
+    assert r.cell("x") is not view
+    assert r.cell("x").eval_count == 0
+    with pytest.raises(MissingField) as exc:
+        r.cell("nope")
+    assert exc.value.name == "nope"
+
+
+def test_mixed_record_repr_clone_and_to_dict():
+    counter = itertools.count(1)
+    r = Record(a=1, b="t", c=None)
+    r.set_field("y", FieldCell.lazy_memoized(lambda rr: rr.get_field("a") + 1))
+    r.set_field("z", FieldCell.on_demand(lambda _r: next(counter)))
+    shown = "Record(a=1, b='t', c=None, y=<lazy_memoized>, z=<on_demand>)"
+    assert repr(r) == shown
+    c = r.clone()
+    assert repr(c) == shown
+    assert r.to_dict() == {"a": 1, "b": "t", "c": None, "y": 2, "z": 1}
+    assert repr(r) == shown
+    assert c.to_dict() == {"a": 1, "b": "t", "c": None, "y": 2, "z": 2}
+    assert repr(r.clone()) == shown
+    assert [(n, r.cell(n).eval_count, c.cell(n).eval_count) for n in r.field_names()] == [
+        ("a", 0, 0), ("b", 0, 0), ("c", 0, 0), ("y", 1, 1), ("z", 1, 1),
+    ]
+    assert repr(r.cell("a")) == "FieldCell.eager(1)"
+    assert repr(r.cell("y")) == "FieldCell(lazy_memoized forced)"

@@ -4,21 +4,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fieldstream
 from fieldstream import (
     Datastream,
+    EvalStrategy,
     FieldCell,
     MissingField,
     Record,
     SingleUseViolation,
+    SplitLabel,
+    as_batch,
     as_field,
     as_list,
     count,
+    datasplit,
     fold,
     pipe,
     scan,
     select_field,
     take,
 )
+from fieldstream.stream import _BoundStage, _Pipeable
 
 from helpers import CountingSource, ds, recs
 
@@ -263,3 +269,91 @@ def test_bare_stage_without_parens():
 def test_plain_list_pipes_into_stage():
     out = [Record(x=1), Record(x=2)] | take(1)
     assert xvals(out) == [1]
+
+
+_RECS = [Record(x=1.0, filename="a.jpg", split=SplitLabel.TRAIN)]
+_F = lambda v: v  # noqa: E731
+
+NOW, STAGE, AMBIGUOUS = "now", "stage", "ambiguous"
+
+# Each exported @pipeable called with a list or tuple first: run now (only the
+# stream reading binds), build a stage (only the stage reading binds), or raise
+# (both bind).
+LIST_FIRST_CALLS = [
+    ("pipe", (_RECS, _F), {}, NOW),
+    ("pipe", ([_F],), {}, STAGE),
+    ("as_field", ([1, 2], "x"), {}, NOW),
+    ("select_field", (_RECS, "x"), {}, NOW),
+    ("select_field", (["x", "filename"],), {}, STAGE),
+    ("as_list", (_RECS,), {}, NOW),
+    ("take", (_RECS, 1), {}, NOW),
+    ("fold", (_RECS, "x", 0.0, lambda a, v: a + v), {}, NOW),
+    ("scan", (_RECS, "x", "acc", 0.0, lambda a, v: a + v), {}, NOW),
+    ("count", (_RECS,), {}, NOW),
+    ("apply", (["x", "filename"], "y", _F), {}, STAGE),
+    ("apply", (_RECS, "x", "y", _F), {}, AMBIGUOUS),
+    ("apply", (_RECS, "x", "y", _F), {"strategy": EvalStrategy.EAGER}, NOW),
+    ("filter_field", (_RECS, "x", _F), {}, NOW),
+    ("delfield", (_RECS, "x"), {}, NOW),
+    ("delfield", (["x", "filename"],), {}, STAGE),
+    ("delay", (_RECS, "x", "y"), {}, NOW),
+    ("apply_batch", (_RECS, "x", "y", _F, 2), {}, NOW),
+    ("apply_batch", (_RECS, "x", "y", _F), {}, STAGE),
+    ("sliding_window", (_RECS, "x", 2), {}, NOW),
+    ("sliding_window", (["x", "filename"], 2), {}, STAGE),
+    ("shard", (_RECS, 0, 2), {}, NOW),
+    ("datasplit", ((0.1, 0.2), 42), {}, AMBIGUOUS),
+    ("datasplit", ((0.1, 0.2),), {"seed": 42}, STAGE),
+    ("datasplit", (_RECS, 0.5), {"seed": 1}, NOW),
+    ("datasplit_by_pattern", (_RECS, "test"), {}, AMBIGUOUS),
+    ("datasplit_by_pattern", (_RECS,), {"test_pattern": "test"}, NOW),
+    ("stratify_sample", (_RECS,), {}, AMBIGUOUS),
+    ("stratify_sample", (_RECS, "x"), {}, NOW),
+    ("stratify_sample_tt", (_RECS,), {}, AMBIGUOUS),
+    ("stratify_sample_tt", (_RECS, "x", "split"), {}, NOW),
+    ("summary", (_RECS,), {}, AMBIGUOUS),
+    ("summary", (_RECS, "x"), {"sink": None}, NOW),
+    ("make_train_test_split", (_RECS,), {}, AMBIGUOUS),
+    ("make_train_test_split", (_RECS, "split"), {}, NOW),
+    ("infshuffle", (_RECS,), {}, AMBIGUOUS),
+    ("infshuffle", (_RECS, 3), {}, NOW),
+    ("as_batch", (["x", "z"], "y", 2), {}, AMBIGUOUS),
+    ("as_batch", (["x", "z"], "y"), {"batch_size": 2}, STAGE),
+    ("as_batch", (_RECS, ["x"], "x", 2), {}, NOW),
+    ("apply_cached", (["x", "filename"], "y", _F, "cache"), {}, STAGE),
+    ("apply_cached", (_RECS, "x", "y", _F, "cache"), {}, AMBIGUOUS),
+    ("apply_cached", (_RECS, "x", "y", _F), {"cache_dir": "cache"}, NOW),
+    ("bind_field", (_RECS, "x", lambda v: Record(y=v)), {}, NOW),
+]
+
+
+def test_list_first_table_covers_every_exported_pipeable():
+    exported = {n for n in fieldstream.__all__ if isinstance(getattr(fieldstream, n), _Pipeable)}
+    assert {name for name, *_ in LIST_FIRST_CALLS} == exported
+
+
+@pytest.mark.parametrize(
+    "name, args, kwargs, outcome", LIST_FIRST_CALLS,
+    ids=[f"{c[0]}-{c[3]}-{i}" for i, c in enumerate(LIST_FIRST_CALLS)],
+)
+def test_list_first_call_dispatch(name, args, kwargs, outcome, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # apply_cached makes its relative "cache" directory when built
+    stage = getattr(fieldstream, name)
+    if outcome == AMBIGUOUS:
+        with pytest.raises(TypeError, match=f"ambiguous call to {name}\\(\\)"):
+            stage(*args, **kwargs)
+    elif outcome == STAGE:
+        assert isinstance(stage(*args, **kwargs), _BoundStage)
+    else:
+        assert not isinstance(stage(*args, **kwargs), _BoundStage)
+
+
+def test_ambiguous_call_names_both_readings():
+    with pytest.raises(TypeError) as exc:
+        datasplit((0.1, 0.2), 42)
+    assert "datasplit" in str(exc.value)
+    assert "'s'" in str(exc.value) and "'split_value'" in str(exc.value)
+    with pytest.raises(TypeError, match="'feature_fields'"):
+        as_batch(["x", "z"], "y", 2)
+    assert isinstance(datasplit(iter(_RECS), 0.5), Datastream)
+    assert isinstance(datasplit(Datastream(_RECS), 0.5), Datastream)
