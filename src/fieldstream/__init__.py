@@ -50,7 +50,6 @@ from .stream import (
     fold,
     pipe,
     pipeable,
-    scan,
     select_field,
     take,
 )
@@ -60,6 +59,7 @@ from .combinators import (
     delay,
     delfield,
     filter_field,
+    scan,
     shard,
     sliding_window,
 )

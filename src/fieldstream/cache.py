@@ -168,16 +168,19 @@ def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") ->
             if not isinstance(key, str):
                 raise TypeError(f"cache key field {key_field!r} must be text, got {type(key).__name__}")
             path = os.path.join(subdir, sanitize_key(key) + ".json")
-            if os.path.exists(path):
+            try:
                 with open(path, "rb") as fh:
                     blob = fh.read()
+            except FileNotFoundError:
+                blob = None
+            if blob is None:
+                value = f(read(r))
+                atomic_write_bytes(path, encode_value(value))
+            else:
                 try:
                     value = decode_value(blob)
                 except CacheCorrupt as e:
                     raise CacheCorrupt(f"{path}: {e}") from None
-            else:
-                value = f(read(r))
-                atomic_write_bytes(path, encode_value(value))
             r.set_field(dst, value)
             yield r
 

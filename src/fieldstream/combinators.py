@@ -2,9 +2,9 @@
 
 ``apply`` is the workhorse: read source field(s), compute, store into a
 destination field under a chosen evaluation strategy. The rest are the
-supporting cast: filtering, field deletion, one-step delay, batched
-application, sliding windows over tensor fields, and residue-class
-sharding for fan-out across workers.
+supporting cast: filtering, field deletion, one-step delay and running
+fold (``apply`` with a stateful step), batched application, sliding
+windows over tensor fields, and residue-class sharding across workers.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from collections import deque
 from itertools import islice
 
 from .errors import BadShard, BatchArity
-from .record import EvalStrategy, FieldCell, Record, Value, check_name
-from .stream import Datastream, check_count, chunks, claim_iter, field_list, pipeable, reader
+from .record import EvalStrategy, FieldCell, Value, check_name
+from .stream import Datastream, check_count, chunks, claim_iter, ensure_stream, field_list, pipeable, reader
 from .tensor import Tensor, _pinned_tensor
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "filter_field",
     "delfield",
     "delay",
+    "scan",
     "apply_batch",
     "sliding_window",
     "shard",
@@ -33,21 +34,19 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
     """Compute ``dst`` from ``src`` field(s) for every record.
 
     With a sequence of source names, ``f`` receives the values as one
-    list in the given order. EAGER computes as the record is pulled;
+    list in the given order; an empty sequence reads no field and ``f``
+    receives ``[]``. EAGER computes as the record is pulled;
     LAZY_MEMOIZED and ON_DEMAND install a thunk that reads the sources
     from the record at force time, so lazy chains force transitively
     and a deleted source fails loudly. An existing ``dst`` is replaced.
     A lazy ``dst`` must not name its own source: the thunk would force
     itself.
     """
-    if not isinstance(strategy, EvalStrategy):
-        raise TypeError(f"unknown strategy {strategy!r}")
     check_name(dst)
     read = reader(src)
+    if strategy is not EvalStrategy.EAGER:
+        template = FieldCell(strategy, thunk=lambda record: f(read(record)))
     it = claim_iter(s)
-
-    def thunk(record: Record) -> Value:
-        return f(read(record))
 
     def eager():
         for r in it:
@@ -56,7 +55,7 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
 
     def lazy():
         for r in it:
-            r.set_field(dst, FieldCell(strategy, thunk=thunk))
+            r.set_field(dst, template.clone())
             yield r
 
     return Datastream(eager() if strategy is EvalStrategy.EAGER else lazy())
@@ -102,21 +101,31 @@ def delay(s, src: str, dst: str) -> Datastream:
     The first record receives its own value, so pairwise consumers see
     a zero-motion first pair. Forces ``src`` of every element.
     """
-    check_name(dst)
-    it = claim_iter(s)
+    prev = _NO_PREV
 
-    def gen():
-        prev = _NO_PREV
-        for r in it:
-            cur = r.get_field(src)
-            r.set_field(dst, cur if prev is _NO_PREV else prev)
-            prev = cur
-            yield r
+    def step(cur: Value) -> Value:
+        nonlocal prev
+        out = cur if prev is _NO_PREV else prev
+        prev = cur
+        return out
 
-    return Datastream(gen())
+    return apply(ensure_stream(s), src, dst, step)
 
 
 _NO_PREV = object()
+
+
+@pipeable
+def scan(s, src: str, dst: str, init: Value, f) -> Datastream:
+    """Running left-fold: element i gains ``dst`` = fold of values 0..i."""
+    acc = init
+
+    def step(v: Value) -> Value:
+        nonlocal acc
+        acc = f(acc, v)
+        return acc
+
+    return apply(ensure_stream(s), src, dst, step)
 
 
 @pipeable

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cache import atomic_write_bytes
+from .combinators import apply
 from .errors import (
     BadPattern,
     BadSplitFile,
@@ -33,7 +34,7 @@ from .errors import (
     UnlistedKey,
 )
 from .record import Record
-from .stream import Datastream, check_count, chunks, claim_iter, field_list, pipeable
+from .stream import Datastream, check_count, chunks, claim_iter, ensure_stream, field_list, pipeable
 from .tensor import Tensor, _pinned_tensor
 
 __all__ = [
@@ -137,37 +138,33 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
     splits three ways. Draws come from a seeded generator in arrival
     order, so the assignment depends only on the seed and position,
     never on field values. With ``split_file``: an existing file is
-    loaded and applied by ``key_field`` (a key absent from the file
-    raises UnlistedKey); a missing file is computed and then written.
+    loaded when the stage is built (BadSplitFile if malformed) and
+    applied by ``key_field`` (a key absent from the file raises
+    UnlistedKey); a missing file is computed and then written.
     """
     valid, test = _normalize_fractions(split_value)
-    it = claim_iter(s)
+    stream = ensure_stream(s)
+    if split_file is not None and os.path.exists(split_file):
+        table = _load_split_file(split_file)
 
-    def drawn():
-        rng = random.Random(seed)
-        for r in it:
-            r.set_field(SPLIT_FIELD, _draw_label(rng.random(), valid, test))
-            yield r
+        def listed(key) -> SplitLabel:
+            label = table.get(key)
+            if label is None:
+                raise UnlistedKey(f"key {key!r} not present in {split_file}")
+            return label
 
+        return apply(stream, key_field, SPLIT_FIELD, listed)
+    rng = random.Random(seed)
+    drawn = apply(stream, [], SPLIT_FIELD, lambda _: _draw_label(rng.random(), valid, test))
     if split_file is None:
-        gen = drawn
-    elif os.path.exists(split_file):
-        def gen():
-            table = _load_split_file(split_file)
-            for r in it:
-                key = r.get_field(key_field)
-                label = table.get(key)
-                if label is None:
-                    raise UnlistedKey(f"key {key!r} not present in {split_file}")
-                r.set_field(SPLIT_FIELD, label)
-                yield r
-    else:
-        def gen():
-            records = list(drawn())
-            _save_split_file(split_file, records, key_field)
-            yield from records
+        return drawn
 
-    return Datastream(gen())
+    def written():
+        records = list(drawn)
+        _save_split_file(split_file, records, key_field)
+        yield from records
+
+    return Datastream(written())
 
 
 @pipeable
@@ -182,21 +179,16 @@ def datasplit_by_pattern(s, test_pattern: str, valid_pattern: str | None = None,
         valid_re = re.compile(valid_pattern) if valid_pattern is not None else None
     except re.error as e:
         raise BadPattern(f"bad pattern: {e}") from None
-    it = claim_iter(s)
 
-    def gen():
-        for r in it:
-            key = str(r.get_field(key_field))
-            if test_re.search(key):
-                label = SplitLabel.TEST
-            elif valid_re is not None and valid_re.search(key):
-                label = SplitLabel.VALID
-            else:
-                label = SplitLabel.TRAIN
-            r.set_field(SPLIT_FIELD, label)
-            yield r
+    def label(key) -> SplitLabel:
+        key = str(key)
+        if test_re.search(key):
+            return SplitLabel.TEST
+        if valid_re is not None and valid_re.search(key):
+            return SplitLabel.VALID
+        return SplitLabel.TRAIN
 
-    return Datastream(gen())
+    return apply(ensure_stream(s), key_field, SPLIT_FIELD, label)
 
 
 def _resolve_class_field(records, requested: str | None) -> str:

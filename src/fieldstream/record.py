@@ -63,6 +63,8 @@ class FieldCell:
     __slots__ = ("strategy", "eval_count", "_stored", "_thunk")
 
     def __init__(self, strategy: EvalStrategy, *, stored: Value = _UNSET, thunk: Thunk | None = None):
+        if not isinstance(strategy, EvalStrategy):
+            raise TypeError(f"unknown strategy {strategy!r}")
         if strategy is EvalStrategy.EAGER:
             if stored is _UNSET or thunk is not None:
                 raise ValueError("eager cell takes a stored value and no thunk")

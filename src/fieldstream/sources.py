@@ -22,18 +22,22 @@ __all__ = ["get_files", "get_datastream", "csvsource", "jsonstream"]
 
 
 def _walk_files(root: str) -> list[str]:
+    """Sorted files and symlinks to files under ``root``; skips FIFOs, broken links and linked directories."""
     paths = []
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for fn in filenames:
-            full = os.path.join(dirpath, fn)
-            if os.path.isfile(full):
-                paths.append(full)
+    pending = [root]
+    while pending:
+        try:
+            entries = os.scandir(pending.pop())
+        except OSError:
+            continue
+        with entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append(entry.path)
+                elif entry.is_file():
+                    paths.append(entry.path)
     paths.sort()
     return paths
-
-
-def _matches_ext(path: str, ext: str | None) -> bool:
-    return ext is None or path.lower().endswith(ext.lower())
 
 
 def get_files(directory, ext: str | None = None) -> Datastream:
@@ -45,10 +49,11 @@ def get_files(directory, ext: str | None = None) -> Datastream:
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
         raise NotADirectoryError(f"not a directory: {directory}")
+    suffix = None if ext is None else ext.lower()
 
     def gen():
         for path in _walk_files(directory):
-            if _matches_ext(path, ext):
+            if suffix is None or path.lower().endswith(suffix):
                 yield path
 
     return Datastream(gen())
@@ -78,9 +83,7 @@ def get_datastream(data_dir, ext: str | None = None, classes: Mapping[str, int] 
     def gen():
         for name in subdirs:
             listed = name in mapping
-            for path in _walk_files(os.path.join(data_dir, name)):
-                if not _matches_ext(path, ext):
-                    continue
+            for path in get_files(os.path.join(data_dir, name), ext):
                 if not listed:
                     raise UnknownClass(f"directory {name!r} is not in the class mapping")
                 yield Record(filename=path, class_no=mapping[name], class_name=name)

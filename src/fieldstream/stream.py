@@ -38,7 +38,6 @@ __all__ = [
     "as_list",
     "take",
     "fold",
-    "scan",
     "count",
 ]
 
@@ -65,11 +64,17 @@ class Datastream:
     def __or__(self, stage):
         if not callable(stage):
             return NotImplemented
-        return stage(self)
+        return _run_stage(self, stage)
 
     def __repr__(self) -> str:
         state = "claimed" if self._claimed else "fresh"
         return f"<Datastream {state}>"
+
+
+def _run_stage(stream: Datastream, stage):
+    """The one body of ``stream | stage`` and ``pipe``: an iterator result is wrapped, any other is returned."""
+    result = stage(stream)
+    return Datastream(result) if isinstance(result, Iterator) else result
 
 
 def _is_stream_like(x) -> bool:
@@ -189,10 +194,7 @@ def pipe(s, stage) -> Datastream:
     """Apply one stream transformer; the explicit spelling of ``s | stage``."""
     if not callable(stage):
         raise TypeError(f"stage must be callable, got {type(stage).__name__}")
-    result = stage(ensure_stream(s))
-    if isinstance(result, Datastream) or not _is_stream_like(result):
-        return result
-    return Datastream(result)
+    return _run_stage(ensure_stream(s), stage)
 
 
 @pipeable
@@ -236,22 +238,6 @@ def fold(s, field: str, init: Value, f) -> Value:
     for r in claim_iter(s):
         acc = f(acc, r.get_field(field))
     return acc
-
-
-@pipeable
-def scan(s, src: str, dst: str, init: Value, f) -> Datastream:
-    """Running left-fold: element i gains ``dst`` = fold of values 0..i."""
-    check_name(dst)
-    it = claim_iter(s)
-
-    def gen():
-        acc = init
-        for r in it:
-            acc = f(acc, r.get_field(src))
-            r.set_field(dst, acc)
-            yield r
-
-    return Datastream(gen())
 
 
 @pipeable

@@ -2,7 +2,10 @@
 
 import io
 import json
+import random
+import re
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -12,6 +15,7 @@ from fieldstream import (
     BadPattern,
     BadSplitFile,
     EmptyStream,
+    EvalStrategy,
     FieldCell,
     MissingField,
     NonNumericLabel,
@@ -26,9 +30,11 @@ from fieldstream import (
     as_list,
     datasplit,
     datasplit_by_pattern,
+    delay,
     delfield,
     infshuffle,
     make_train_test_split,
+    scan,
     sliding_window,
     stratify_sample,
     stratify_sample_tt,
@@ -36,7 +42,7 @@ from fieldstream import (
     take,
 )
 
-from helpers import ds, recs
+from helpers import CountingSource, ds, recs
 
 
 def named(n):
@@ -156,6 +162,44 @@ def test_pattern_split_valid_pattern():
 def test_pattern_split_bad_regex():
     with pytest.raises(BadPattern):
         datasplit_by_pattern(ds(named(1)), "(unclosed")
+
+
+# derived per-record stages against plain-Python oracles ---------------------------
+
+@given(st.lists(st.text(alphabet="tv_a", max_size=5), max_size=50), st.integers(0, 2**32 - 1))
+def test_derived_stages_match_oracles(names, seed):
+    vals = [n + "!" for n in names]
+    out = as_list(
+        ds(recs([{"name": n} for n in names]))
+        | apply("name", "v", lambda n: n + "!", strategy=EvalStrategy.LAZY_MEMOIZED)
+        | delay("v", "prev")
+        | scan("v", "acc", 0, lambda a, v: a + len(v))
+        | datasplit((0.2, 0.3), seed=seed)
+        | apply("split", "drawn", lambda label: label)
+        | datasplit_by_pattern("t+", valid_pattern="^v", key_field="v")
+    )
+    rng = random.Random(seed)
+    drawn = []
+    for _ in vals:
+        u = rng.random()
+        drawn.append("valid" if u < 0.2 else "test" if u < 0.5 else "train")
+    by_pattern = ["test" if re.search("t+", v) else "valid" if re.search("^v", v) else "train" for v in vals]
+    assert [r.get_field("prev") for r in out] == vals[:1] + vals[:-1]
+    assert [r.get_field("acc") for r in out] == list(accumulate(vals, lambda a, v: a + len(v), initial=0))[1:]
+    assert [r.get_field("drawn").value for r in out] == drawn
+    assert [r.get_field("split").value for r in out] == by_pattern
+    assert [r.cell("v").strategy for r in out] == [EvalStrategy.LAZY_MEMOIZED] * len(vals)
+    assert [r.cell("v").eval_count for r in out] == [1] * len(vals)
+
+
+@pytest.mark.parametrize("content", ["{not json", json.dumps(["f0000"]), json.dumps({"f0000": "validation"})])
+def test_bad_split_file_fails_when_composed(tmp_path, content):
+    bad = tmp_path / "split.json"
+    bad.write_text(content)
+    source = CountingSource(named(3))
+    with pytest.raises(BadSplitFile):
+        source.stream() | datasplit(0.5, seed=1, split_file=bad)
+    assert source.pulls == 0
 
 
 # stratify ----------------------------------------------------------------------------

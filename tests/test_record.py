@@ -200,8 +200,20 @@ def test_eager_stores_build_no_cell(cell_inits):
     out = as_list(as_field([1, 2, 3], "x") | apply("x", "y", lambda v: v * 2))
     assert [o.get_field("y") for o in out] == [2, 4, 6]
     assert cell_inits == []
-    as_list(as_field([1, 2], "x") | apply("x", "y", lambda v: v, strategy=EvalStrategy.ON_DEMAND))
-    assert len(cell_inits) == 2  # one thunk cell per record, and nothing else
+    lazy = as_list(as_field([1, 2], "x") | apply("x", "y", lambda v: v, strategy=EvalStrategy.ON_DEMAND))
+    assert len(cell_inits) == 1  # one validated template per stage; records get clones
+    first, second = (r.cell("y") for r in lazy)
+    assert first is not second
+    assert [r.get_field("y") for r in lazy] == [1, 2]
+    assert lazy[0].get_field("y") == 1
+    assert (first.eval_count, second.eval_count) == (2, 1)
+
+
+def test_field_cell_rejects_unknown_strategy():
+    with pytest.raises(TypeError, match="unknown strategy 'bogus'"):
+        FieldCell("bogus", thunk=lambda _r: 1)
+    with pytest.raises(TypeError):
+        FieldCell(None, stored=1)
 
 
 def test_set_field_unwraps_eager_cells_and_keeps_thunk_cells():

@@ -1,6 +1,7 @@
 """File-tree, CSV and JSON stream producers."""
 
 import json
+import os
 
 import pytest
 
@@ -60,6 +61,25 @@ def test_get_files_deterministic(tmp_path):
 def test_get_files_missing_dir(tmp_path):
     with pytest.raises(OSError):
         get_files(tmp_path / "nope")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs and symlinks")
+def test_walk_lists_file_links_and_skips_special_entries(tmp_path):
+    root = tmp_path / "tree"
+    for rel in ["b/z.txt", "a.txt", "b/y.txt"]:
+        touch(root / rel)
+    touch(tmp_path / "outside/hidden.txt")
+    os.symlink(root / "a.txt", root / "b/link.txt")  # symlink to a file: listed
+    os.symlink(root / "gone.txt", root / "broken.txt")  # broken symlink: skipped
+    os.mkfifo(root / "pipe.txt")  # FIFO: skipped
+    os.symlink(tmp_path / "outside", root / "linkdir")  # symlinked directory: neither listed nor walked
+    expected = sorted(str(root / rel) for rel in ["a.txt", "b/link.txt", "b/y.txt", "b/z.txt"])
+    assert as_list(get_files(root)) == expected
+    assert as_list(get_files(root, ".TXT")) == expected
+    os.makedirs(tmp_path / "classes")
+    os.symlink(root, tmp_path / "classes/pets")
+    got = [(r.get_field("filename"), r.get_field("class_name")) for r in as_list(get_datastream(tmp_path / "classes"))]
+    assert got == [(p.replace(str(root), str(tmp_path / "classes/pets")), "pets") for p in expected]
 
 
 # get_datastream -----------------------------------------------------------------

@@ -19,6 +19,7 @@ from fieldstream import (
     count,
     datasplit,
     fold,
+    make_train_test_split,
     pipe,
     scan,
     select_field,
@@ -76,6 +77,18 @@ def test_pipe_operator_reads_linearly():
     assert xvals(out) == [1, 2]
     wrapped = pipe(xs([1, 2]), lambda s: (r for r in s))
     assert isinstance(wrapped, Datastream)
+
+
+def test_pipe_and_operator_are_one_path():
+    labelled = lambda: ds(recs([{"x": 1, "split": "train"}, {"x": 2, "split": "test"}]))
+    stages = [as_list, count, make_train_test_split, take(1), lambda s: (r for r in s), lambda s: s]
+    for stage in stages:
+        piped, ored = pipe(labelled(), stage), labelled() | stage
+        assert type(piped) is type(ored)
+        assert type(piped) in (list, int, tuple, Datastream)
+    assert isinstance(pipe(labelled(), as_list), list)
+    assert isinstance(labelled() | make_train_test_split, tuple)
+    assert isinstance(labelled() | (lambda s: (r for r in s)), Datastream)
 
 
 # as_field ---------------------------------------------------------------------
