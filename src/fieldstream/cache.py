@@ -34,14 +34,34 @@ from .tensor import Tensor
 __all__ = ["apply_cached", "encode_value", "decode_value", "to_jsonable", "from_jsonable", "atomic_write_bytes"]
 
 _SAFE_BYTES = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-")
+# byte value -> itself if safe, else its %XX escape; indexed by the latin-1 code point of each UTF-8 byte
+_KEY_TABLE = [chr(b) if b in _SAFE_BYTES else f"%{b:02X}" for b in range(256)]
 
 
 def sanitize_key(key: str) -> str:
     """Percent-encode every byte outside [A-Za-z0-9._-]."""
-    out = []
-    for b in key.encode("utf-8"):
-        out.append(chr(b) if b in _SAFE_BYTES else f"%{b:02X}")
-    return "".join(out)
+    return key.encode("utf-8").decode("latin-1").translate(_KEY_TABLE)
+
+
+def _tensor_obj(shape, data) -> dict:
+    """The one layout of an encoded tensor: its keys and their order."""
+    return {"t": "tensor", "shape": shape, "data": data}
+
+
+def _not_encodable(value) -> TypeError:
+    return TypeError(f"{type(value).__name__} is not an encodable value")
+
+
+def _encode_default(value):
+    if isinstance(value, Tensor):
+        return _tensor_obj(value.shape, value.data)
+    raise _not_encodable(value)
+
+
+# Writes exactly what json.dumps(to_jsonable(v), ensure_ascii=False) writes, without the walk
+# or a new encoder per call. It turns non-text map keys into text where to_jsonable raises, so
+# it serves only values whose map keys are text by construction (parsed CSV or JSON rows).
+_ENCODER = json.JSONEncoder(ensure_ascii=False, default=_encode_default)
 
 
 def to_jsonable(value: Value):
@@ -49,7 +69,7 @@ def to_jsonable(value: Value):
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, Tensor):
-        return {"t": "tensor", "shape": list(value.shape), "data": list(value.data)}
+        return _tensor_obj(list(value.shape), list(value.data))
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -59,7 +79,7 @@ def to_jsonable(value: Value):
                 raise TypeError(f"map keys must be strings, got {k!r}")
             out[k] = to_jsonable(v)
         return out
-    raise TypeError(f"{type(value).__name__} is not an encodable value")
+    raise _not_encodable(value)
 
 
 def _is_tensor_obj(obj: dict) -> bool:

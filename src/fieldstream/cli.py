@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import functools
 import os
 import sys
 
-from .cache import atomic_open, from_jsonable, to_jsonable
+from .cache import _ENCODER, atomic_open, from_jsonable
 from .combinators import apply, shard, sliding_window
 from .errors import FieldstreamError, RaggedRow
 from .mlprep import _save_split_file, datasplit, stratify_sample, summary
@@ -31,13 +31,13 @@ __all__ = ["run_cli", "main"]
 def _write_jsonl(records, path) -> None:
     with atomic_open(path, encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps(to_jsonable(r.to_dict()), ensure_ascii=False) + "\n")
+            fh.write(_ENCODER.encode(r.to_dict()) + "\n")
 
 
 def _csv_cell(value) -> str:
     if isinstance(value, str):
         return value
-    return json.dumps(to_jsonable(value), ensure_ascii=False)
+    return _ENCODER.encode(value)
 
 
 def _write_csv(records, path) -> None:
@@ -109,7 +109,9 @@ def _cmd_window(ns) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser tree of this process, built on the first call, never at import."""
     parser = argparse.ArgumentParser(
         prog="fieldstream",
         description="Run record-stream data-prep pipelines over CSV/JSONL/file-tree inputs.",

@@ -123,8 +123,17 @@ def _load_split_file(path) -> dict[str, SplitLabel]:
 
 
 def _save_split_file(path, records, key_field: str) -> None:
-    """Write the ``{key: label}`` table of split-labelled records, atomically."""
-    plain = {r.get_field(key_field): r.get_field(SPLIT_FIELD).value for r in records}
+    """Write the ``{key: label}`` table of split-labelled records, atomically.
+
+    A key shared by two records raises BadSplitFile before anything is
+    written: the table could keep only one of their labels.
+    """
+    plain = {}
+    for r in records:
+        key = r.get_field(key_field)
+        if key in plain:
+            raise BadSplitFile(f"{path}: key {key!r} of field {key_field!r} appears twice; split keys must be unique")
+        plain[key] = r.get_field(SPLIT_FIELD).value
     text = json.dumps(plain, indent=2, sort_keys=True) + "\n"
     atomic_write_bytes(path, text.encode("utf-8"))
 

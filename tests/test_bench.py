@@ -39,3 +39,10 @@ def test_traced_classify_epochs_run_is_correct():
 def test_traced_tensor_workload_run_is_correct(workload):
     """The cache decode and CLI window paths, which build and stack tensors."""
     traced_run(workload)
+
+
+def test_traced_cli_convert_run_is_correct():
+    """The CLI convert path: text rows written through the shared encoder, never the codec walk."""
+    result = traced_run("cli_convert")
+    assert result["metrics"]["cli.convert.us"]["value"] > 0
+    assert result["metrics"]["cache.to_jsonable_us"]["value"] == 0

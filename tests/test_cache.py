@@ -5,7 +5,8 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fieldstream import (
     CacheCorrupt,
@@ -101,6 +102,24 @@ def test_sanitize_percent_encodes_outside_safe_set():
     assert sanitize_key("~") == "%7E"
     assert sanitize_key("é") == "%C3%A9"
     assert sanitize_key("a b") == "a%20b"
+
+
+_SAFE = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-")
+
+
+def _sanitize_by_byte_loop(key: str) -> str:
+    """The byte-at-a-time encoding that sanitize_key's table replaced: the oracle."""
+    out = []
+    for b in key.encode("utf-8"):
+        out.append(chr(b) if b in _SAFE else f"%{b:02X}")
+    return "".join(out)
+
+
+@example("".join(map(chr, range(256))))
+@example("\u07ff\u0800\uffff\U00010000\U0001f600\U0010ffff")
+@given(st.text(st.one_of(st.characters(), st.characters(min_codepoint=0x10000))))
+def test_sanitize_matches_byte_loop(key):
+    assert sanitize_key(key) == _sanitize_by_byte_loop(key)
 
 
 # apply_cached ------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 """CLI subcommands: thin wrappers over the library, with stable exit codes."""
 
+import argparse
 import io
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fieldstream.cli as cli
 from fieldstream import (
+    Datastream,
+    Record,
     Tensor,
     as_list,
     datasplit,
@@ -16,6 +25,9 @@ from fieldstream import (
     stratify_sample,
     summary,
 )
+from fieldstream.cache import to_jsonable
+
+from helpers import tensors
 
 
 def write(path, text):
@@ -89,6 +101,19 @@ def test_split_data_error_keeps_earlier_output(pet_tree, tmp_path, capsys):
     assert "1.5" in capsys.readouterr().err
     assert out.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["lib.json", "pets", "split.json"]
+
+
+def test_split_repeated_key_exits_2_and_keeps_earlier_output(pet_tree, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "split.json"
+    args = ["split", "--dir", str(pet_tree), "--test", "0.5", "--seed", "3", "--ext", ".jpg", "--out", str(out)]
+    assert run_cli(args) == 0
+    before = out.read_bytes()
+    monkeypatch.setattr(cli, "get_datastream", lambda d, ext=None: Datastream(Record(filename="a") for _ in range(8)))
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "'a'" in err and "'filename'" in err
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pets", "split.json"]
 
 
 def test_bad_shard_parameters_exit_2(tmp_path):
@@ -241,3 +266,77 @@ def test_window_round_trips_tensor_fields(tmp_path):
     got = json.loads(out.read_text().splitlines()[0])
     assert got["f"] == {"t": "tensor", "shape": [2, 2], "data": [1.5, -2.0, 3.0, 4.0]}
     assert got["i"] == 1
+
+
+# one encoder, one parser -------------------------------------------------------------
+
+_texts = st.one_of(st.text(max_size=8), st.sampled_from(['é "q", \\', "世界\U0001f600", "'\"", "\x00\x1f\u2028\r\n"]))
+_ints = st.one_of(st.integers(), st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64)))
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]),
+)
+_cell_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, _floats, _texts, tensors()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(_texts, children, max_size=3),
+    ),
+    max_leaves=8,
+)
+_rows = st.lists(
+    st.dictionaries(st.text(min_size=1, max_size=6), _cell_values, min_size=1, max_size=5),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _walk_and_dumps(value) -> str:
+    """The encoding the CLI writers used before the shared encoder: the oracle."""
+    return json.dumps(to_jsonable(value), ensure_ascii=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows)
+def test_writers_match_walk_and_dumps(rows):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "out.jsonl")
+        cli._write_jsonl([Record.from_values(row) for row in rows], path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            got = fh.read()
+    assert got == "".join(_walk_and_dumps(row) + "\n" for row in rows)
+    for row in rows:
+        for v in row.values():
+            assert cli._csv_cell(v) == (v if isinstance(v, str) else _walk_and_dumps(v))
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    built, parsed = [], []
+    init, parse_args = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_args
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def recording_parse_args(self, *args, **kwargs):
+        ns = parse_args(self, *args, **kwargs)
+        parsed.append(vars(ns).copy())
+        return ns
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    cli._build_parser.cache_clear()
+    src = tmp_path / "in.csv"
+    mid = tmp_path / "mid.jsonl"
+    back = tmp_path / "back.csv"
+    write(src, CSV_FIXTURE)
+    assert run_cli(["no-such-command"]) == 1
+    assert run_cli(["--help"]) == 0
+    assert "convert" in capsys.readouterr().out
+    assert run_cli(["convert", "--in", str(src), "--out", str(mid)]) == 0
+    assert run_cli(["convert", "--in", str(mid), "--out", str(back)]) == 0
+    assert built.count("fieldstream") == 1
+    assert len(built) == 1 + 6  # the top-level parser and one per subcommand
+    assert [(ns["in_path"], ns["out_path"]) for ns in parsed] == [(str(src), str(mid)), (str(mid), str(back))]
+    assert set(parsed[1]) == {"command", "in_path", "out_path", "handler"}
+    assert back.read_text(encoding="utf-8") == CSV_FIXTURE

@@ -121,6 +121,13 @@ def test_datasplit_bad_split_file(tmp_path):
         as_list(datasplit(ds(named(1)), 0.5, seed=1, split_file=worse))
 
 
+def test_datasplit_repeated_key_writes_no_file(tmp_path):
+    split_file = tmp_path / "split.json"
+    with pytest.raises(BadSplitFile, match=r"'a' of field 'filename'"):
+        as_list(datasplit(ds(recs([{"filename": "a"}] * 8)), 0.5, seed=3, split_file=split_file))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_datasplit_missing_key_field(tmp_path):
     split_file = tmp_path / "s.json"
     with pytest.raises(MissingField):
