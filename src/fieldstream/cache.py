@@ -31,7 +31,7 @@ from .record import Value, check_name
 from .stream import Datastream, claim_iter, pipeable, reader
 from .tensor import Tensor
 
-__all__ = ["apply_cached", "encode_value", "decode_value", "to_jsonable", "from_jsonable", "atomic_write_bytes"]
+__all__ = ["apply_cached", "encode_value", "decode_value", "to_jsonable", "from_jsonable"]
 
 _SAFE_BYTES = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-")
 # byte value -> itself if safe, else its %XX escape; indexed by the latin-1 code point of each UTF-8 byte
@@ -62,6 +62,8 @@ def _encode_default(value):
 # or a new encoder per call. It turns non-text map keys into text where to_jsonable raises, so
 # it serves only values whose map keys are text by construction (parsed CSV or JSON rows).
 _ENCODER = json.JSONEncoder(ensure_ascii=False, default=_encode_default)
+# Writes exactly what json.dumps(payload, ensure_ascii=False, separators=(",", ":")) writes.
+_COMPACT_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 def to_jsonable(value: Value):
@@ -113,7 +115,7 @@ def from_jsonable(obj) -> Value:
 def encode_value(value: Value) -> bytes:
     """Serialize one value to the versioned UTF-8 JSON cache format."""
     payload = {"v": 1, "value": to_jsonable(value)}
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return _COMPACT_ENCODER.encode(payload).encode("utf-8")
 
 
 def decode_value(blob: bytes | str) -> Value:
@@ -176,6 +178,7 @@ def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") ->
     atomically before the record is yielded.
     """
     check_name(dst)
+    check_name(key_field)
     read = reader(src)
     cache_dir = os.fspath(cache_dir)
     subdir = os.path.join(cache_dir, dst)

@@ -25,7 +25,7 @@ from .sources import csvsource, get_datastream, jsonstream
 from .stream import count
 from .tensor import as_tensor
 
-__all__ = ["run_cli", "main"]
+__all__ = ["run_cli"]
 
 
 def _write_jsonl(records, path) -> None:

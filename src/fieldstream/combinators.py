@@ -64,6 +64,7 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
 @pipeable
 def filter_field(s, src: str, pred) -> Datastream:
     """Keep records whose forced ``src`` value satisfies the predicate."""
+    check_name(src)
     it = claim_iter(s)
 
     def gen():
@@ -139,6 +140,7 @@ def apply_batch(s, src: str, dst: str, f, batch_size: int) -> Datastream:
     ``batch_size``.
     """
     check_count(batch_size, "batch_size")
+    check_name(src)
     check_name(dst)
     it = claim_iter(s)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .combinators import apply, delfield
-from .record import Record, Value
+from .record import Record, Value, check_name
 from .stream import Datastream, as_field, as_list, claim_iter, pipeable
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
 @pipeable
 def bind_field(s, u: str, f) -> Datastream:
     """Merge ``f(record[u])`` into each record; ``f``'s fields win on collision."""
+    check_name(u)
     it = claim_iter(s)
 
     def gen():
@@ -78,14 +79,9 @@ def check_left_identity(vs: Sequence[Value], u: str, f, bind=bind_field) -> bool
 def check_right_identity(rs: Sequence[Record], u: str, bind=bind_field) -> bool:
     """Binding the lifting function leaves every record unchanged."""
     rs = list(rs)
-    snapshots = [(set(r.field_names()), r.to_dict()) for r in rs]
+    snapshots = [Record.from_values(r.to_dict()) for r in rs]
     got = as_list(bind(Datastream(iter(rs)), u, lambda x: Record().set_field(u, x)))
-    if len(got) != len(snapshots):
-        return False
-    for r, (names, values) in zip(got, snapshots):
-        if set(r.field_names()) != names or r.to_dict() != values:
-            return False
-    return True
+    return _streams_equal(got, snapshots)
 
 
 def check_associativity(rs: Sequence[Record], u: str, v: str, w: str, f, g, composed=None) -> bool:

@@ -33,9 +33,9 @@ from .errors import (
     UnknownSplitLabel,
     UnlistedKey,
 )
-from .record import Record
+from .record import Record, check_name
 from .stream import Datastream, check_count, chunks, claim_iter, ensure_stream, field_list, pipeable
-from .tensor import Tensor, _pinned_tensor
+from .tensor import Tensor, _pinned_tensor, to_float
 
 __all__ = [
     "SplitLabel",
@@ -85,19 +85,17 @@ def _normalize_fractions(split_value):
     if isinstance(split_value, (tuple, list)):
         if len(split_value) != 2:
             raise ValueError(f"expected (valid_fraction, test_fraction), got {split_value!r}")
-        valid, test = float(split_value[0]), float(split_value[1])
+        valid, test = to_float(split_value[0]), to_float(split_value[1])
         if not (0.0 <= valid <= 1.0 and 0.0 <= test <= 1.0 and valid + test <= 1.0):
             raise ValueError(f"fractions must lie in [0, 1] and sum to at most 1: {split_value!r}")
         return valid, test
-    p = float(split_value)
+    p = to_float(split_value)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"test fraction must lie in [0, 1], got {split_value!r}")
-    return None, p
+    return 0.0, p
 
 
-def _draw_label(u: float, valid: float | None, test: float) -> SplitLabel:
-    if valid is None:
-        return SplitLabel.TEST if u < test else SplitLabel.TRAIN
+def _draw_label(u: float, valid: float, test: float) -> SplitLabel:
     if u < valid:
         return SplitLabel.VALID
     if u < valid + test:
@@ -152,6 +150,7 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
     UnlistedKey); a missing file is computed and then written.
     """
     valid, test = _normalize_fractions(split_value)
+    check_name(key_field)
     stream = ensure_stream(s)
     if split_file is not None and os.path.exists(split_file):
         table = _load_split_file(split_file)
@@ -219,6 +218,8 @@ def _stratified(s, class_field: str | None, group) -> Datastream:
     m is the size of the group's smallest class. Kept records are
     emitted in their original relative order.
     """
+    if class_field is not None:
+        check_name(class_field)
     it = claim_iter(s)
 
     def gen():
@@ -252,6 +253,7 @@ def stratify_sample(s, class_field: str | None = None) -> Datastream:
 @pipeable
 def stratify_sample_tt(s, class_field: str | None = None, split_field: str = SPLIT_FIELD) -> Datastream:
     """:func:`stratify_sample` applied independently inside each split label."""
+    check_name(split_field)
     return _stratified(s, class_field, lambda r: _label_text(r.get_field(split_field)))
 
 
@@ -267,6 +269,8 @@ def summary(s, class_field: str | None = None, sink=None) -> Datastream:
     Writes to ``sink`` (default stdout) when the first element is
     pulled.
     """
+    if class_field is not None:
+        check_name(class_field)
     it = claim_iter(s)
 
     def gen():
@@ -298,6 +302,7 @@ def make_train_test_split(s, split_field: str = SPLIT_FIELD):
     Order is preserved within each part. Any label besides train/test,
     including valid, raises UnknownSplitLabel.
     """
+    check_name(split_field)
     train: list[Record] = []
     test: list[Record] = []
     for r in claim_iter(s):
@@ -348,6 +353,7 @@ def as_batch(s, feature_fields, label_field: str, batch_size: int = 32) -> Datas
     """
     check_count(batch_size, "batch_size")
     names = field_list(feature_fields)
+    check_name(label_field)
     it = claim_iter(s)
 
     def gen():

@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping
 
 from .errors import MissingField
 
-__all__ = ["EvalStrategy", "FieldCell", "Record", "Value", "Thunk"]
+__all__ = ["EvalStrategy", "FieldCell", "Record"]
 
 # A field value: None, bool, int, float, str, Tensor, list or dict.
 Value = Any

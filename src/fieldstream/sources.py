@@ -4,7 +4,8 @@ All file enumeration is sorted lexicographically so two runs over the
 same tree produce byte-identical streams. CSV follows the minimal RFC
 4180 dialect (comma, double quotes, doubled-quote escaping, UTF-8).
 JSON input is either one top-level array of objects or JSON Lines,
-detected by the first non-whitespace character.
+detected by the first non-whitespace character. JSON Lines breaks
+lines only at ``\n``, so U+2028, U+2029 and U+0085 stay inside a line.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ def get_datastream(data_dir, ext: str | None = None, classes: Mapping[str, int] 
 def csvsource(path) -> Datastream:
     """Stream of records from a CSV file; the header names the fields.
 
-    Every cell stays text, no type inference. A row whose cell count
-    differs from the header's raises RaggedRow at that row.
+    Every cell stays text, no type inference. A blank or repeated
+    header name raises ParseError before the first row; a row whose
+    cell count differs from the header's raises RaggedRow at that row.
     """
     path = os.fspath(path)
 
@@ -108,6 +110,9 @@ def csvsource(path) -> Datastream:
                 raise ParseError(f"{path}: empty file, expected a header row") from None
             if not header:
                 raise ParseError(f"{path}: blank header row")
+            for i, name in enumerate(header):
+                if not name or name in header[:i]:
+                    raise ParseError(f"{path}:{reader.line_num}: header cell {i + 1} {name!r} is blank or repeated")
             for row in reader:
                 if len(row) != len(header):
                     raise RaggedRow(
@@ -144,7 +149,7 @@ def jsonstream(path) -> Datastream:
             for i, obj in enumerate(data):
                 yield record_of(obj, f"{path}[{i}]")
         else:
-            for lineno, line in enumerate(text.splitlines(), start=1):
+            for lineno, line in enumerate(text.split("\n"), start=1):
                 if not line.strip():
                     continue
                 try:

@@ -30,8 +30,6 @@ from .record import Record, Value, check_name
 __all__ = [
     "Datastream",
     "pipeable",
-    "ensure_stream",
-    "claim_iter",
     "pipe",
     "as_field",
     "select_field",
@@ -234,6 +232,7 @@ def take(s, n: int) -> Datastream:
 @pipeable
 def fold(s, field: str, init: Value, f) -> Value:
     """Left-fold the forced values of one field; ``init`` on an empty stream."""
+    check_name(field)
     acc = init
     for r in claim_iter(s):
         acc = f(acc, r.get_field(field))

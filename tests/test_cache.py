@@ -15,6 +15,7 @@ from fieldstream import (
     as_list,
     decode_value,
     encode_value,
+    to_jsonable,
 )
 from fieldstream.cache import sanitize_key
 
@@ -85,6 +86,14 @@ def test_round_trip_seeded_random_values():
 @given(values)
 def test_round_trip_hypothesis(v):
     assert strict_equal(decode_value(encode_value(v)), v)
+
+
+@settings(max_examples=200)
+@given(values)
+def test_encode_matches_per_call_dumps(v):
+    payload = {"v": 1, "value": to_jsonable(v)}
+    oracle = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    assert encode_value(v) == oracle
 
 
 def test_encode_rejects_non_values():

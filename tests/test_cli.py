@@ -137,6 +137,30 @@ def test_convert_round_trip_is_byte_stable(tmp_path):
     assert back.read_text(encoding="utf-8").rstrip("\n") == CSV_FIXTURE.rstrip("\n")
 
 
+def test_line_separator_characters_round_trip(tmp_path):
+    src = tmp_path / "in.csv"
+    mid = tmp_path / "mid.jsonl"
+    back = tmp_path / "back.csv"
+    sharded = tmp_path / "shard.jsonl"
+    write(src, "a,b\nx\u2028y,p\u2029q\nr\x85s,t\n")
+    assert run_cli(["convert", "--in", str(src), "--out", str(mid)]) == 0
+    assert run_cli(["convert", "--in", str(mid), "--out", str(back)]) == 0
+    assert back.read_bytes() == src.read_bytes()
+    assert run_cli(["shard", "--in", str(mid), "--k", "0", "--n", "1", "--out", str(sharded)]) == 0
+    assert sharded.read_bytes() == mid.read_bytes()
+
+
+def test_convert_repeated_csv_header_exits_2_and_keeps_earlier_output(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    out = tmp_path / "o.jsonl"
+    write(src, "a,a,b\n1,2,3\n")
+    write(out, "earlier\n")
+    assert run_cli(["convert", "--in", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "in.csv" in err and "header cell 2 'a'" in err
+    assert out.read_text(encoding="utf-8") == "earlier\n"
+
+
 def test_convert_csv_to_jsonl_content(tmp_path):
     src = tmp_path / "in.csv"
     mid = tmp_path / "mid.jsonl"

@@ -21,13 +21,20 @@ from fieldstream import (
     as_batch,
     as_field,
     as_list,
+    bind_field,
+    datasplit,
     delay,
     delfield,
     filter_field,
+    fold,
+    make_train_test_split,
     scan,
     select_field,
     shard,
     sliding_window,
+    stratify_sample,
+    stratify_sample_tt,
+    summary,
 )
 
 from helpers import CountingSource, ds, recs
@@ -129,6 +136,35 @@ def test_bad_field_name_fails_when_composed(stage, tmp_path):
     with pytest.raises(ValueError):
         as_field(source.stream(), "x") | stage(tmp_path)
     assert source.pulls == 0
+
+
+_BAD_READ_STAGES = {
+    "filter_field": lambda tmp: filter_field("", bool),
+    "apply_batch": lambda tmp: apply_batch(None, "y", lambda vs: vs, 2),
+    "fold": lambda tmp: fold(field="", init=0, f=max),
+    "bind_field": lambda tmp: bind_field(3, lambda v: Record(y=v)),
+    "apply_cached": lambda tmp: apply_cached("x", "y", str, tmp, key_field=""),
+    "datasplit-key_field": lambda tmp: datasplit(0.5, key_field=None),
+    "datasplit-bool": lambda tmp: datasplit(True),
+    "datasplit-text": lambda tmp: datasplit("0.5"),
+    "datasplit-pair": lambda tmp: datasplit((0.2, "0.1")),
+    "stratify_sample": lambda tmp: stratify_sample(class_field=""),
+    "stratify_sample_tt-class": lambda tmp: stratify_sample_tt(class_field=""),
+    "stratify_sample_tt-split": lambda tmp: stratify_sample_tt(split_field=""),
+    "summary": lambda tmp: summary(class_field=""),
+    "make_train_test_split": lambda tmp: make_train_test_split(split_field=""),
+    "as_batch": lambda tmp: as_batch(feature_fields=["x"], label_field="", batch_size=2),
+}
+
+
+@pytest.mark.parametrize("stage", _BAD_READ_STAGES.values(), ids=list(_BAD_READ_STAGES))
+def test_bad_read_name_or_fraction_fails_before_claiming(stage, tmp_path):
+    source = CountingSource([1, 2])
+    stream = as_field(source.stream(), "x")
+    with pytest.raises(ValueError):
+        stream | stage(tmp_path)
+    assert source.pulls == 0
+    assert len(as_list(stream)) == 2  # still unclaimed
 
 
 @given(st.lists(st.integers(-50, 50), max_size=30))

@@ -79,6 +79,18 @@ def test_datasplit_three_way():
     assert 0.15 <= c[SplitLabel.TEST] / 3000 <= 0.25
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2024])
+@pytest.mark.parametrize("split_value", [0.0, 0.25, 1.0, (0.0, 0.3), (0.2, 0.3), (0.5, 0.5)])
+def test_datasplit_draws_follow_the_seeded_rule(seed, split_value):
+    valid, test = split_value if isinstance(split_value, tuple) else (0.0, split_value)
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(500):
+        u = rng.random()
+        expected.append(SplitLabel.VALID if u < valid else SplitLabel.TEST if u < valid + test else SplitLabel.TRAIN)
+    assert splits_of(as_list(datasplit(ds(named(500)), split_value, seed=seed))) == expected
+
+
 def test_datasplit_deterministic_per_seed():
     a = splits_of(as_list(datasplit(ds(named(300)), 0.4, seed=7)))
     b = splits_of(as_list(datasplit(ds(named(300)), 0.4, seed=7)))

@@ -162,6 +162,20 @@ def test_csvsource_empty_file(tmp_path):
         as_list(csvsource(p))
 
 
+@pytest.mark.parametrize("header, cell", [
+    ("a,a,b", "header cell 2 'a'"),
+    ("a,b,a", "header cell 3 'a'"),
+    (",b", "header cell 1 ''"),
+    ("a,,b", "header cell 2 ''"),
+])
+def test_csvsource_blank_or_repeated_header_name_fails_before_first_row(tmp_path, header, cell):
+    p = tmp_path / "t.csv"
+    touch(p, header + "\n" + ",".join(["1"] * (header.count(",") + 1)) + "\n")
+    with pytest.raises(ParseError) as exc:
+        next(iter(csvsource(p)))
+    assert "t.csv:1:" in str(exc.value) and cell in str(exc.value)
+
+
 # jsonstream ------------------------------------------------------------------------
 
 def test_jsonstream_array(tmp_path):

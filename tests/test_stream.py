@@ -1,5 +1,8 @@
 """Stream core: laziness, single use, lifting, projecting, sinks."""
 
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -338,6 +341,16 @@ LIST_FIRST_CALLS = [
     ("apply_cached", (_RECS, "x", "y", _F), {"cache_dir": "cache"}, NOW),
     ("bind_field", (_RECS, "x", lambda v: Record(y=v)), {}, NOW),
 ]
+
+
+def test_package_exports_exactly_its_modules_public_names():
+    modules = [importlib.import_module(f"fieldstream.{m.name}") for m in pkgutil.iter_modules(fieldstream.__path__)]
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    assert len(fieldstream.__all__) == len(declared) and set(fieldstream.__all__) == set(declared)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fieldstream, name) is getattr(module, name), name
 
 
 def test_list_first_table_covers_every_exported_pipeable():
