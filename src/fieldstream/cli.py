@@ -14,24 +14,69 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import os
 import sys
+from array import array
+from types import SimpleNamespace
 
-from .cache import _ENCODER, atomic_open, from_jsonable
+from .cache import _ENCODER, _tensor_obj, atomic_open, from_jsonable
 from .combinators import apply, shard, sliding_window
 from .errors import FieldstreamError, RaggedRow
 from .mlprep import _save_split_file, datasplit, stratify_sample, summary
 from .sources import csvsource, get_datastream, jsonstream
 from .stream import count
-from .tensor import as_tensor
+from .tensor import Tensor, as_tensor
 
 __all__ = ["run_cli"]
 
 
-def _write_jsonl(records, path) -> None:
+def _write_jsonl(records, path, encode=_ENCODER.encode) -> None:
+    """Write one line per record: ``encode`` of its field dict, which must write what ``_ENCODER.encode`` does."""
     with atomic_open(path, encoding="utf-8") as fh:
         for r in records:
-            fh.write(_ENCODER.encode(r.to_dict()) + "\n")
+            fh.write(encode(r.to_dict()) + "\n")
+
+
+def _row_text(row: tuple[float, ...]) -> str:
+    """The floats of one tensor row as ``_ENCODER`` writes them inside ``"data"``, without brackets."""
+    return _ENCODER.encode(row)[1:-1]
+
+
+def _window_encoder():
+    """A line encoder for sliding-window records that encodes each tensor row once.
+
+    Consecutive windows share all but one row of each stacked field, so a
+    row's text is kept for the next line, keyed by its exact bits (``0.0``
+    and ``-0.0`` stay apart). The memo holds only the rows of the previous
+    line. Tensors of rank 2 or more with non-empty rows are joined from row
+    texts; every other value goes through ``_ENCODER`` as it is.
+    """
+    prev: dict[bytes, str] = {}
+
+    def encode(fields: dict) -> str:
+        nonlocal prev
+        cur: dict[bytes, str] = {}
+        parts = []
+        for name, v in fields.items():
+            if type(v) is Tensor and len(v.shape) >= 2 and (width := math.prod(v.shape[1:])):
+                data = v.data
+                bits = array("d", data).tobytes()
+                rows = []
+                for i in range(0, len(data), width):
+                    key = bits[8 * i : 8 * (i + width)]
+                    text = cur.get(key) or prev.get(key) or _row_text(data[i : i + width])
+                    cur[key] = text
+                    rows.append(text)
+                # the layout ends with "data", so its text with no data, less the closing "]}", is the head
+                text = _ENCODER.encode(_tensor_obj(v.shape, ()))[:-2] + ", ".join(rows) + "]}"
+            else:
+                text = _ENCODER.encode(v)
+            parts.append(_ENCODER.encode(name) + ": " + text)
+        prev = cur
+        return "{" + ", ".join(parts) + "}"
+
+    return encode
 
 
 def _csv_cell(value) -> str:
@@ -42,14 +87,17 @@ def _csv_cell(value) -> str:
 
 def _write_csv(records, path) -> None:
     with atomic_open(path, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # A "\r\n" terminator makes QUOTE_MINIMAL quote a cell holding a lone "\r" as well as "\n",
+        # so csvsource reads the file back; writerow writes each row in one call, ended by "\n" here.
+        rows = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(rows, lineterminator="\r\n")
         header: list[str] | None = None
         for r in records:
-            if header is None:
-                header = r.field_names()
-                writer.writerow(header)
             names = r.field_names()
-            if set(names) != set(header):
+            if header is None:
+                header, header_set = names, set(names)
+                writer.writerow(header)
+            elif set(names) != header_set:
                 raise RaggedRow(f"record fields {names} do not match header {header}")
             writer.writerow([_csv_cell(r.get_field(n)) for n in header])
 
@@ -105,7 +153,7 @@ def _cmd_window(ns) -> int:
     stream = jsonstream(ns.in_path)
     for name in fields:
         stream = stream | apply(name, name, _windowed_value(ns.in_path, name))
-    _write_jsonl(stream | sliding_window(fields, ns.size), ns.out_path)
+    _write_jsonl(stream | sliding_window(fields, ns.size), ns.out_path, _window_encoder())
     return 0
 
 

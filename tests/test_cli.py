@@ -8,7 +8,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fieldstream.cli as cli
@@ -16,16 +16,19 @@ from fieldstream import (
     Datastream,
     Record,
     Tensor,
+    apply,
     as_list,
     datasplit,
     get_datastream,
     jsonstream,
     run_cli,
     shard,
+    sliding_window,
     stratify_sample,
     summary,
 )
-from fieldstream.cache import to_jsonable
+from fieldstream.cache import _ENCODER, _tensor_obj, from_jsonable, to_jsonable
+from fieldstream.tensor import as_tensor
 
 from helpers import tensors
 
@@ -364,3 +367,110 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     assert [(ns["in_path"], ns["out_path"]) for ns in parsed] == [(str(src), str(mid)), (str(mid), str(back))]
     assert set(parsed[1]) == {"command", "in_path", "out_path", "handler"}
     assert back.read_text(encoding="utf-8") == CSV_FIXTURE
+
+
+# window writer: each input row encoded once ------------------------------------------
+
+_edge_floats = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 1.5])
+_window_floats = st.one_of(_edge_floats, _edge_floats, st.floats())
+_window_texts = st.one_of(st.text(max_size=6), st.sampled_from(['say "hi"', "a\u2028b", "\\", " \u2029\x85"]))
+# windowed field name -> shape of its input values: rank 0, 1 and 2, some with a zero-size dim
+_window_shapes = st.dictionaries(
+    st.sampled_from(["s", "v", "m", "e"]),
+    st.one_of(st.just(()), st.sampled_from([(0,), (2, 0), (0, 3)]), st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def _window_inputs(draw):
+    shapes = draw(_window_shapes)
+    n = draw(st.integers(1, 6))
+    rows = []
+    for i in range(n):
+        row = {"tag": draw(_window_texts), "i": i}
+        for name, shape in shapes.items():
+            if rows and draw(st.booleans()):  # often the previous value again, each zero's sign flipped
+                prev = list(rows[-1][name].data)
+                data = [(-x if x == 0 else x) for x in prev] if prev else []
+            else:
+                data = draw(st.lists(_window_floats, min_size=math.prod(shape), max_size=math.prod(shape)))
+            row[name] = Tensor(shape, data)
+        rows.append(row)
+    return list(shapes), rows, draw(st.integers(1, n + 1))
+
+
+def _window_oracle(path, fields, size) -> str:
+    """The window output as the single-shot writer encodes it, record by record."""
+    stream = jsonstream(path)
+    for name in fields:
+        stream = stream | apply(name, name, lambda obj: as_tensor(from_jsonable(obj)))
+    return "".join(_ENCODER.encode(r.to_dict()) + "\n" for r in stream | sliding_window(fields, size))
+
+
+def _run_window(rows, fields, size):
+    with tempfile.TemporaryDirectory() as d:
+        src, out = os.path.join(d, "in.jsonl"), os.path.join(d, "out.jsonl")
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write("".join(_ENCODER.encode(row) + "\n" for row in rows))
+        assert run_cli(["window", "--in", src, "--fields", ",".join(fields), "--size", str(size), "--out", out]) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            return fh.read(), _window_oracle(src, fields, size)
+
+
+def _edge_case(values, size):
+    """A rank-1 field ``x`` holding ``values`` row by row, beside a scalar field ``k`` and quoted text."""
+    rows = [{"x": Tensor((len(v),), v), "k": Tensor((), [float(i)]), "tag": 'q"\u2028'} for i, v in enumerate(values)]
+    return ["x", "k"], rows, size
+
+
+@example(_edge_case([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, -0.0]], 2))  # rows apart only by a zero's sign
+@example(_edge_case([[math.nan, math.inf], [-math.inf, 5e-324], [1.7976931348623157e308, math.nan]], 2))
+@example(_edge_case([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]], 1))
+@example(_edge_case([[], [], []], 2))
+@settings(max_examples=300, deadline=None)
+@given(_window_inputs())
+def test_window_writer_matches_single_shot_encoding(case):
+    fields, rows, size = case
+    got, want = _run_window(rows, fields, size)
+    assert got == want and got.count("\n") == max(len(rows) - size + 1, 0)
+
+
+def test_tensor_layout_ends_with_data():
+    assert list(_tensor_obj((2, 3), ())) == ["t", "shape", "data"]
+    assert _ENCODER.encode(_tensor_obj((2, 3), ())).endswith('"data": []}')
+
+
+def test_window_encodes_each_input_row_once(tmp_path, monkeypatch):
+    n, size, fields = 10, 3, ["x", "y"]
+    rows = [{name: Tensor((4,), [float(100 * i + 10 * f + j) for j in range(4)]) for f, name in enumerate(fields)} for i in range(n)]
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    write(src, "".join(_ENCODER.encode(row) + "\n" for row in rows))
+    calls = []
+    row_text = cli._row_text
+    monkeypatch.setattr(cli, "_row_text", lambda row: calls.append(row) or row_text(row))
+    assert run_cli(["window", "--in", str(src), "--fields", "x,y", "--size", str(size), "--out", str(out)]) == 0
+    assert len(calls) == n * len(fields)  # not (n - size + 1) * size * len(fields) == 48
+    assert out.read_text(encoding="utf-8") == _window_oracle(src, fields, size)
+
+
+# csv cells holding a carriage return ----------------------------------------------
+
+@pytest.mark.parametrize("cells", [{"a": "x\ry", "b": "p\r\nq"}, {"a": "\r", "b": "\r,\n"}, {"a": "x\r", "b": ""}])
+def test_convert_reads_its_own_csv_back(tmp_path, cells):
+    src, mid, back = tmp_path / "in.jsonl", tmp_path / "mid.csv", tmp_path / "back.jsonl"
+    rows = [cells, {"a": "plain", "b": "c,d"}]
+    write(src, "".join(json.dumps(row) + "\n" for row in rows))
+    assert run_cli(["convert", "--in", str(src), "--out", str(mid)]) == 0
+    assert run_cli(["convert", "--in", str(mid), "--out", str(back)]) == 0
+    assert [json.loads(line) for line in back.read_text(encoding="utf-8").splitlines()] == rows
+    assert mid.read_bytes().endswith(b"\nplain,\"c,d\"\n")
+
+
+def test_convert_ragged_jsonl_to_csv_exits_2(tmp_path, capsys):
+    src, out = tmp_path / "in.jsonl", tmp_path / "o.csv"
+    write(src, '{"a":1,"b":2}\n{"b":3,"a":4}\n{"a":5}\n')
+    assert run_cli(["convert", "--in", str(src), "--out", str(out)]) == 2
+    assert "record fields ['a'] do not match header ['a', 'b']" in capsys.readouterr().err
+    assert not out.exists()
