@@ -50,12 +50,20 @@ def _window_encoder():
     row's text is kept for the next line, keyed by its exact bits (``0.0``
     and ``-0.0`` stay apart). The memo holds only the rows of the previous
     line. Tensors of rank 2 or more with non-empty rows are joined from row
-    texts; every other value goes through ``_ENCODER`` as it is.
+    texts; every other value goes through ``_ENCODER`` as it is. A line with
+    no tensor of rank 2 or more (windows of scalars) is one ``_ENCODER``
+    call, as for the other commands: it has no rows to share.
     """
     prev: dict[bytes, str] = {}
 
     def encode(fields: dict) -> str:
         nonlocal prev
+        for v in fields.values():
+            if type(v) is Tensor and len(v.shape) >= 2:
+                break
+        else:
+            prev = {}
+            return _ENCODER.encode(fields)
         cur: dict[bytes, str] = {}
         parts = []
         for name, v in fields.items():
@@ -88,7 +96,9 @@ def _csv_cell(value) -> str:
 def _write_csv(records, path) -> None:
     with atomic_open(path, newline="", encoding="utf-8") as fh:
         # A "\r\n" terminator makes QUOTE_MINIMAL quote a cell holding a lone "\r" as well as "\n",
-        # so csvsource reads the file back; writerow writes each row in one call, ended by "\n" here.
+        # so csvsource reads the file back; its "\r\n" is cut to "\n" here. That each writerow is one
+        # write ending in the terminator is how CPython's _csv works, not what the csv docs promise;
+        # tests/test_cli.py pins it.
         rows = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
         writer = csv.writer(rows, lineterminator="\r\n")
         header: list[str] | None = None

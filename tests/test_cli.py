@@ -1,11 +1,13 @@
 """CLI subcommands: thin wrappers over the library, with stable exit codes."""
 
 import argparse
+import csv
 import io
 import json
 import math
 import os
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -455,6 +457,17 @@ def test_window_encodes_each_input_row_once(tmp_path, monkeypatch):
     assert out.read_text(encoding="utf-8") == _window_oracle(src, fields, size)
 
 
+def test_window_of_scalars_is_one_encode_per_line(tmp_path, monkeypatch):
+    n, size = 6, 2
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    write(src, "".join(json.dumps({"x": i / 4, "y": -i, "tag": f"r{i}"}) + "\n" for i in range(n)))
+    calls = []
+    monkeypatch.setattr(cli, "_ENCODER", SimpleNamespace(encode=lambda v: calls.append(v) or _ENCODER.encode(v)))
+    assert run_cli(["window", "--in", str(src), "--fields", "x,y", "--size", str(size), "--out", str(out)]) == 0
+    assert len(calls) == n - size + 1 and all(type(c) is dict for c in calls)
+    assert out.read_text(encoding="utf-8") == _window_oracle(src, ["x", "y"], size)
+
+
 # csv cells holding a carriage return ----------------------------------------------
 
 @pytest.mark.parametrize("cells", [{"a": "x\ry", "b": "p\r\nq"}, {"a": "\r", "b": "\r,\n"}, {"a": "x\r", "b": ""}])
@@ -474,3 +487,13 @@ def test_convert_ragged_jsonl_to_csv_exits_2(tmp_path, capsys):
     assert run_cli(["convert", "--in", str(src), "--out", str(out)]) == 2
     assert "record fields ['a'] do not match header ['a', 'b']" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_csv_writerow_is_one_write_ending_in_its_terminator():
+    # _write_csv cuts each write's "\r\n" to "\n"; that holds only while CPython's _csv writes a row in one call
+    writes = []
+    writer = csv.writer(SimpleNamespace(write=writes.append), lineterminator="\r\n")
+    writer.writerow(["a", "x\ry", "p\r\nq", 'say "hi"', ""])
+    writer.writerow([])
+    writer.writerow([""])
+    assert writes == ['a,"x\ry","p\r\nq","say ""hi""",\r\n', "\r\n", '""\r\n']
