@@ -2,15 +2,16 @@
 
 Cache files are UTF-8 JSON with a one-field version envelope::
 
-    {"v": 1, "value": <encoded value>}
+    {"v": 2, "value": <encoded value>}
 
-Scalars encode natively. Tensors encode as
-``{"t": "tensor", "shape": [...], "data": [...]}``; lists and maps
-recurse. Floats round-trip exactly through the shortest-decimal
-representation the JSON serializer emits. A map whose keys are exactly
-``t``, ``shape`` and ``data`` with ``t == "tensor"`` is indistinguishable
-from a tensor and will decode as one; avoid that key combination in
-cached maps.
+Scalars encode natively; lists and maps recurse. A tensor encodes as
+``{"t": "tensor", "shape": [...], "f64": "<base64>"}``, its data as
+little-endian float64, so it round-trips bit for bit (scalar floats are
+shortest decimals, and a scalar NaN comes back as the default NaN). A
+map whose keys are exactly ``t``, ``shape`` and ``f64`` with
+``t == "tensor"`` decodes as a tensor; avoid that combination. Format 1
+files (``"v": 1``), whose tensors are the CLI's decimal ``"data"``
+layout, are still read; each version recognizes only its own layout.
 
 Layout on disk is ``cache_dir/<dst>/<encoded key>.json`` where the key
 is the record's key field with every byte outside ``[A-Za-z0-9._-]``
@@ -22,14 +23,17 @@ CacheCorrupt naming the path; it is never silently recomputed.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
+import struct
 from contextlib import contextmanager
 
 from .errors import CacheCorrupt
 from .record import Value, check_name
 from .stream import Datastream, claim_iter, pipeable, reader
-from .tensor import Tensor
+from .tensor import Tensor, check_shape
 
 __all__ = ["apply_cached", "encode_value", "decode_value", "to_jsonable", "from_jsonable"]
 
@@ -39,13 +43,23 @@ _KEY_TABLE = [chr(b) if b in _SAFE_BYTES else f"%{b:02X}" for b in range(256)]
 
 
 def sanitize_key(key: str) -> str:
-    """Percent-encode every byte outside [A-Za-z0-9._-]."""
-    return key.encode("utf-8").decode("latin-1").translate(_KEY_TABLE)
+    """Percent-encode every byte outside [A-Za-z0-9._-]; a lone surrogate is its three UTF-8 bytes."""
+    return key.encode("utf-8", "surrogatepass").decode("latin-1").translate(_KEY_TABLE)
 
 
 def _tensor_obj(shape, data) -> dict:
-    """The one layout of an encoded tensor: its keys and their order."""
+    """The one JSON Lines layout of a tensor, also cache format 1's: its keys and their order."""
     return {"t": "tensor", "shape": shape, "data": data}
+
+
+def _data_obj(t: Tensor) -> dict:
+    return _tensor_obj(list(t.shape), list(t.data))
+
+
+def _f64_obj(t: Tensor) -> dict:
+    """The cache format 2 layout of a tensor: base64 of its data as little-endian float64."""
+    raw = struct.Struct(f"<{t.size}d").pack(*t.data)
+    return {"t": "tensor", "shape": list(t.shape), "f64": base64.b64encode(raw).decode("ascii")}
 
 
 def _not_encodable(value) -> TypeError:
@@ -66,31 +80,29 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False, default=_encode_default)
 _COMPACT_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
-def to_jsonable(value: Value):
-    """Map a field value onto plain JSON-serializable data."""
+def to_jsonable(value: Value, tensor=_data_obj):
+    """Map a field value onto plain JSON-serializable data; ``tensor`` lays out each tensor."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, Tensor):
-        return _tensor_obj(list(value.shape), list(value.data))
+        return tensor(value)
     if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
+        return [to_jsonable(v, tensor) for v in value]
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
             if not isinstance(k, str):
                 raise TypeError(f"map keys must be strings, got {k!r}")
-            out[k] = to_jsonable(v)
+            out[k] = to_jsonable(v, tensor)
         return out
     raise _not_encodable(value)
 
 
-def _is_tensor_obj(obj: dict) -> bool:
-    return set(obj) == {"t", "shape", "data"} and obj.get("t") == "tensor"
-
-
-def _tensor_from_obj(obj: dict) -> Tensor:
-    shape = obj["shape"]
-    data = obj["data"]
+def _tensor_from_data(obj: dict) -> Tensor | None:
+    """The tensor a ``"data"`` layout map encodes; None for any other map."""
+    if obj.keys() != {"t", "shape", "data"} or obj["t"] != "tensor":
+        return None
+    shape, data = obj["shape"], obj["data"]
     if not isinstance(shape, list) or not isinstance(data, list):
         raise CacheCorrupt("tensor shape and data must be arrays")
     try:
@@ -99,27 +111,45 @@ def _tensor_from_obj(obj: dict) -> Tensor:
         raise CacheCorrupt(str(e)) from None
 
 
-def from_jsonable(obj) -> Value:
-    """Inverse of :func:`to_jsonable`; tensors are recognized structurally."""
+def _tensor_from_f64(obj: dict) -> Tensor | None:
+    """The tensor an ``"f64"`` layout map encodes; None for any other map."""
+    if obj.keys() != {"t", "shape", "f64"} or obj["t"] != "tensor":
+        return None
+    shape, f64 = obj["shape"], obj["f64"]
+    if not isinstance(shape, list) or not isinstance(f64, str):
+        raise CacheCorrupt("tensor shape must be an array and f64 text")
+    try:
+        shape = check_shape(shape)
+        raw = base64.b64decode(f64, validate=True)
+    except ValueError as e:  # binascii.Error is a ValueError
+        raise CacheCorrupt(f"bad tensor: {e}") from None
+    n = math.prod(shape)
+    if len(raw) != 8 * n:
+        raise CacheCorrupt(f"tensor f64 holds {len(raw)} bytes, shape {shape} needs {8 * n}")
+    return Tensor._trusted(shape, struct.Struct(f"<{n}d").unpack(raw))
+
+
+def from_jsonable(obj, tensor=_tensor_from_data) -> Value:
+    """Inverse of :func:`to_jsonable`; ``tensor`` recognizes and builds the tensors of one layout."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, list):
-        return [from_jsonable(v) for v in obj]
+        return [from_jsonable(v, tensor) for v in obj]
     if isinstance(obj, dict):
-        if _is_tensor_obj(obj):
-            return _tensor_from_obj(obj)
-        return {k: from_jsonable(v) for k, v in obj.items()}
+        if (t := tensor(obj)) is not None:
+            return t
+        return {k: from_jsonable(v, tensor) for k, v in obj.items()}
     raise CacheCorrupt(f"cannot decode {type(obj).__name__}")
 
 
 def encode_value(value: Value) -> bytes:
-    """Serialize one value to the versioned UTF-8 JSON cache format."""
-    payload = {"v": 1, "value": to_jsonable(value)}
+    """Serialize one value to the versioned UTF-8 JSON cache format (format 2)."""
+    payload = {"v": 2, "value": to_jsonable(value, _f64_obj)}
     return _COMPACT_ENCODER.encode(payload).encode("utf-8")
 
 
 def decode_value(blob: bytes | str) -> Value:
-    """Parse the cache format; any malformation raises CacheCorrupt."""
+    """Parse cache format 1 or 2; any malformation raises CacheCorrupt."""
     if isinstance(blob, bytes):
         try:
             blob = blob.decode("utf-8")
@@ -131,9 +161,9 @@ def decode_value(blob: bytes | str) -> Value:
         raise CacheCorrupt(f"malformed JSON: {e.msg} at {e.lineno}:{e.colno}") from None
     if not isinstance(payload, dict) or "v" not in payload or "value" not in payload:
         raise CacheCorrupt("missing version envelope")
-    if payload["v"] != 1:
+    if payload["v"] not in (1, 2):
         raise CacheCorrupt(f"unsupported version {payload['v']!r}")
-    return from_jsonable(payload["value"])
+    return from_jsonable(payload["value"], _tensor_from_f64 if payload["v"] == 2 else _tensor_from_data)
 
 
 @contextmanager

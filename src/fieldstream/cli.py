@@ -2,7 +2,7 @@
 
 Every subcommand is a thin composition of library operations; the only
 logic here is argument parsing and file I/O. JSON Lines is the
-interchange format, with tensors embedded in the cache encoding.
+interchange format, with tensors as ``{"t", "shape", "data"}`` objects.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad input files,
 unreadable paths, malformed rows). Data errors name the offending file
@@ -207,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path", required=True)
     p.set_defaults(handler=_cmd_shard)
 
-    p = sub.add_parser("window", help="stack fields over a sliding window (tensors as cache encoding)")
+    p = sub.add_parser("window", help="stack fields over a sliding window (tensors as {t, shape, data} objects)")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--fields", required=True)
     p.add_argument("--size", type=int, required=True)

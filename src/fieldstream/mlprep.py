@@ -163,12 +163,18 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
 
         return apply(stream, key_field, SPLIT_FIELD, listed)
     rng = random.Random(seed)
-    drawn = apply(stream, [], SPLIT_FIELD, lambda _: _draw_label(rng.random(), valid, test))
+    it = claim_iter(stream)
+
+    def drawn():  # a label reads no field, so the draw is a plain store loop rather than an apply
+        for r in it:
+            r.set_field(SPLIT_FIELD, _draw_label(rng.random(), valid, test))
+            yield r
+
     if split_file is None:
-        return drawn
+        return Datastream(drawn())
 
     def written():
-        records = list(drawn)
+        records = list(drawn())
         _save_split_file(split_file, records, key_field)
         yield from records
 

@@ -24,10 +24,7 @@ class Tensor:
     __slots__ = ("_shape", "_data")
 
     def __init__(self, shape: Sequence[int], data: Sequence[float]):
-        shape = tuple(shape)
-        for dim in shape:
-            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-                raise ValueError(f"bad tensor dimension {dim!r}")
+        shape = check_shape(shape)
         flat = tuple(data)
         if set(map(type, flat)) != {float}:  # exact floats are valid as they are
             flat = tuple(map(to_float, flat))
@@ -101,6 +98,15 @@ class Tensor:
         if len(self._data) <= 6:
             return f"Tensor(shape={self._shape}, data={list(self._data)})"
         return f"Tensor(shape={self._shape}, <{len(self._data)} floats>)"
+
+
+def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
+    """``shape`` as a tuple; a dimension that is a bool, not an int, or negative raises ValueError."""
+    shape = tuple(shape)
+    for dim in shape:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+            raise ValueError(f"bad tensor dimension {dim!r}")
+    return shape
 
 
 def to_float(x) -> float:

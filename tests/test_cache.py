@@ -1,8 +1,10 @@
 """Value encoding, decoding and the disk-backed apply."""
 
+import base64
 import json
 import os
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from fieldstream import (
     as_list,
     decode_value,
     encode_value,
+    get_datastream,
     to_jsonable,
 )
 from fieldstream.cache import sanitize_key
@@ -26,24 +29,54 @@ from helpers import ds, random_value, recs, strict_equal, values
 
 # a tensor whose one element is an integer literal too large for a float
 HUGE_TENSOR_BLOB = b'{"v":1,"value":{"t":"tensor","shape":[1],"data":[1' + b"0" * 400 + b"]}}"
+# a NaN whose payload is not the default one
+NAN_PAYLOAD = struct.unpack("<d", b"\x01\x00\x00\x00\x00\x00\xf8\x7f")[0]
+
+
+def f64_text(data) -> str:
+    return base64.b64encode(struct.pack(f"<{len(data)}d", *data)).decode("ascii")
+
+
+def v2_oracle(value):
+    """Format 2 as the JSON data it stands for, built without the library's walk."""
+    if isinstance(value, Tensor):
+        return {"t": "tensor", "shape": list(value.shape), "f64": f64_text(value.data)}
+    if isinstance(value, (list, tuple)):
+        return [v2_oracle(v) for v in value]
+    if isinstance(value, dict):
+        return {k: v2_oracle(v) for k, v in value.items()}
+    return value
 
 
 def test_encode_int_exact_bytes():
-    assert encode_value(3) == b'{"v":1,"value":3}'
+    assert encode_value(3) == b'{"v":2,"value":3}'
 
 
 def test_encode_tensor_exact_bytes():
     blob = encode_value(Tensor((2,), [1.0, 2.0]))
-    assert blob == b'{"v":1,"value":{"t":"tensor","shape":[2],"data":[1.0,2.0]}}'
+    # 1.0 and 2.0 as little-endian float64: 00..00 f0 3f and 00..00 00 40
+    assert blob == b'{"v":2,"value":{"t":"tensor","shape":[2],"f64":"AAAAAAAA8D8AAAAAAAAAQA=="}}'
 
 
 def test_encode_null_exact_bytes():
-    assert encode_value(None) == b'{"v":1,"value":null}'
+    assert encode_value(None) == b'{"v":2,"value":null}'
 
 
 def test_decode_rejects_other_versions():
-    with pytest.raises(CacheCorrupt):
-        decode_value(b'{"v":2,"value":3}')
+    for version in [b"3", b"0", b"-1", b'"2"', b"null", b"[2]"]:
+        with pytest.raises(CacheCorrupt, match="unsupported version"):
+            decode_value(b'{"v":' + version + b',"value":3}')
+
+
+def test_decode_v1_scalars():
+    assert strict_equal(decode_value(b'{"v":1,"value":3}'), 3)
+    assert decode_value(b'{"v":1,"value":null}') is None
+    assert strict_equal(decode_value(b'{"v":1,"value":{"nested":[0]}}'), {"nested": [0]})
+
+
+def test_decode_v1_tensor():
+    blob = b'{"v":1,"value":{"t":"tensor","shape":[2],"data":[1.0,2.0]}}'
+    assert strict_equal(decode_value(blob), Tensor((2,), [1.0, 2.0]))
 
 
 def test_decode_rejects_tensor_length_mismatch():
@@ -88,12 +121,72 @@ def test_round_trip_hypothesis(v):
     assert strict_equal(decode_value(encode_value(v)), v)
 
 
+@example([-0.0, float("inf"), float("-inf"), 5e-324, NAN_PAYLOAD, -NAN_PAYLOAD, float("nan")])
+@settings(max_examples=200)
+@given(st.lists(st.floats(width=64), max_size=8))
+def test_round_trip_keeps_tensor_float_bits(data):
+    back = decode_value(encode_value([Tensor((len(data),), data)]))[0]
+    assert [struct.pack("<d", x) for x in back.data] == [struct.pack("<d", x) for x in data]
+
+
 @settings(max_examples=200)
 @given(values)
 def test_encode_matches_per_call_dumps(v):
-    payload = {"v": 1, "value": to_jsonable(v)}
+    payload = {"v": 2, "value": v2_oracle(v)}
     oracle = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
     assert encode_value(v) == oracle
+
+
+@settings(max_examples=200)
+@given(values)
+def test_decode_v1_as_written_before_v2(v):
+    """Format 1 bytes, as encode_value wrote them before format 2, still decode."""
+    payload = {"v": 1, "value": to_jsonable(v)}
+    blob = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    assert strict_equal(decode_value(blob), v)
+
+
+def test_each_version_recognizes_only_its_tensor_layout():
+    data_map = {"t": "tensor", "shape": [2], "data": [1.0, 2.0]}
+    f64_map = {"t": "tensor", "shape": [1], "f64": f64_text([1.0])}
+    assert strict_equal(decode_value(json.dumps({"v": 2, "value": data_map})), data_map)
+    assert strict_equal(decode_value(json.dumps({"v": 1, "value": f64_map})), f64_map)
+    # a user map in the format 1 tensor layout now round-trips as a map
+    assert strict_equal(decode_value(encode_value(data_map)), data_map)
+
+
+def tensor_blob(shape, f64) -> bytes:
+    return json.dumps({"v": 2, "value": {"t": "tensor", "shape": shape, "f64": f64}}).encode("utf-8")
+
+
+MALFORMED_V2_TENSORS = {
+    "bad-base64-character": tensor_blob([1], "AAAAAAAA!8D8="),
+    "base64-with-newline": tensor_blob([1], "AAAAAAAA8D8=\n"),
+    "bad-base64-padding": tensor_blob([1], "AAAAAAAA8D8"),
+    "non-ASCII-base64": tensor_blob([1], "AAAAAAAA8Dé="),
+    "too-few-bytes": tensor_blob([2], f64_text([1.0])),
+    "too-many-bytes": tensor_blob([1], f64_text([1.0, 2.0])),
+    "bytes-not-a-whole-float": tensor_blob([1], base64.b64encode(b"\x00" * 9).decode()),
+    "negative-dimension": tensor_blob([-1], ""),
+    "bool-dimension": tensor_blob([True], f64_text([1.0])),
+    "float-dimension": tensor_blob([1.0], f64_text([1.0])),
+    "shape-not-a-list": tensor_blob(1, f64_text([1.0])),
+    "shape-as-text": tensor_blob("", f64_text([1.0])),
+    "f64-a-number": tensor_blob([1], 1.0),
+    "f64-a-list": tensor_blob([1], [1.0]),
+    "f64-null": tensor_blob([0], None),
+}
+
+
+@pytest.mark.parametrize("blob", MALFORMED_V2_TENSORS.values(), ids=MALFORMED_V2_TENSORS.keys())
+def test_decode_rejects_malformed_v2_tensor(blob, tmp_path):
+    with pytest.raises(CacheCorrupt):
+        decode_value(blob)
+    (tmp_path / "sq").mkdir()
+    (tmp_path / "sq" / "f0.json").write_bytes(blob)
+    with pytest.raises(CacheCorrupt) as exc:
+        as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: 1 / 0, tmp_path))
+    assert str(tmp_path / "sq" / "f0.json") in str(exc.value)
 
 
 def test_encode_rejects_non_values():
@@ -107,6 +200,7 @@ def test_encode_rejects_non_values():
 
 def test_sanitize_percent_encodes_outside_safe_set():
     assert sanitize_key("a/b.mp4") == "a%2Fb.mp4"
+    assert sanitize_key("x\udcff.jpg") == "x%ED%B3%BF.jpg"  # os.listdir's form of the byte 0xff
     assert sanitize_key("Ab9._-") == "Ab9._-"
     assert sanitize_key("~") == "%7E"
     assert sanitize_key("é") == "%C3%A9"
@@ -119,12 +213,13 @@ _SAFE = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz01234567
 def _sanitize_by_byte_loop(key: str) -> str:
     """The byte-at-a-time encoding that sanitize_key's table replaced: the oracle."""
     out = []
-    for b in key.encode("utf-8"):
+    for b in key.encode("utf-8", "surrogatepass"):
         out.append(chr(b) if b in _SAFE else f"%{b:02X}")
     return "".join(out)
 
 
 @example("".join(map(chr, range(256))))
+@example("\ud800")
 @example("\u07ff\u0800\uffff\U00010000\U0001f600\U0010ffff")
 @given(st.text(st.one_of(st.characters(), st.characters(min_codepoint=0x10000))))
 def test_sanitize_matches_byte_loop(key):
@@ -202,6 +297,42 @@ def test_no_temp_files_left_behind(tmp_path):
 
 
 def test_cache_file_is_valid_json(tmp_path):
-    as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: {"nested": [v]}, tmp_path))
-    payload = json.loads((tmp_path / "sq" / "f0.json").read_text())
-    assert payload == {"v": 1, "value": {"nested": [0]}}
+    t = Tensor((1,), [-0.0])
+    as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: {"nested": [v, t]}, tmp_path))
+    payload = json.loads((tmp_path / "sq" / "f0.json").read_text(encoding="utf-8"))
+    assert payload == {"v": 2, "value": {"nested": [0, {"t": "tensor", "shape": [1], "f64": f64_text([-0.0])}]}}
+
+
+def test_v1_cache_directory_is_read_warm(tmp_path):
+    """A cache directory in format 1, as written before format 2, is served without calling f."""
+    (tmp_path / "feat").mkdir()
+    (tmp_path / "feat" / "f0.json").write_bytes(b'{"v":1,"value":{"nested":[0]}}')
+    (tmp_path / "feat" / "f1.json").write_bytes(
+        b'{"v":1,"value":{"t":"tensor","shape":[2,1],"data":[1.0,-0.0]}}'
+    )
+    out = as_list(apply_cached(squares_stream(2), "x", "feat", lambda v: 1 / 0, tmp_path))
+    assert strict_equal(out[0].get_field("feat"), {"nested": [0]})
+    assert strict_equal(out[1].get_field("feat"), Tensor((2, 1), [1.0, -0.0]))
+
+
+def test_cache_key_from_undecodable_file_name(tmp_path):
+    """A file name whose bytes are not UTF-8 is a cache key: cold run, then warm."""
+    cls = tmp_path / "tree" / "cls"
+    cls.mkdir(parents=True)
+    try:
+        with open(os.fsencode(cls) + b"/x\xff.jpg", "wb"):
+            pass
+    except (OSError, ValueError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    calls = []
+
+    def f(name):
+        calls.append(name)
+        return Tensor((1,), [float(len(name))])
+
+    for _ in range(2):
+        out = as_list(get_datastream(tmp_path / "tree") | apply_cached("filename", "n", f, tmp_path / "cache"))
+        assert len(out) == 1 and out[0].get_field("n") == Tensor((1,), [float(len(calls[0]))])
+    assert len(calls) == 1
+    assert calls[0].endswith("x\udcff.jpg")
+    assert os.listdir(tmp_path / "cache" / "n") == [sanitize_key(calls[0]) + ".json"]
