@@ -31,11 +31,16 @@ from .tensor import Tensor, as_tensor
 __all__ = ["run_cli"]
 
 
-def _write_jsonl(records, path, encode=_ENCODER.encode) -> None:
-    """Write one line per record: ``encode`` of its field dict, which must write what ``_ENCODER.encode`` does."""
+def _write_jsonl(records, path, source, encode=_ENCODER.encode) -> None:
+    """Write one line per record: ``encode`` of its field dict, which must write what ``_ENCODER.encode`` does;
+    a value UTF-8 cannot hold (a lone surrogate) is a ValueError naming ``source``, the input, and the record."""
+    n = 0
     with atomic_open(path, encoding="utf-8") as fh:
-        for r in records:
-            fh.write(encode(r.to_dict()) + "\n")
+        try:
+            for n, r in enumerate(records, 1):
+                fh.write(encode(r.to_dict()) + "\n")
+        except UnicodeEncodeError as e:
+            raise ValueError(f"{source}: output record {n}: {e}") from None
 
 
 def _row_text(row: tuple[float, ...]) -> str:
@@ -116,7 +121,7 @@ def _cmd_convert(ns) -> int:
     src_ext = os.path.splitext(ns.in_path)[1].lower()
     dst_ext = os.path.splitext(ns.out_path)[1].lower()
     if src_ext == ".csv" and dst_ext == ".jsonl":
-        _write_jsonl(csvsource(ns.in_path), ns.out_path)
+        _write_jsonl(csvsource(ns.in_path), ns.out_path, ns.in_path)
     elif src_ext == ".jsonl" and dst_ext == ".csv":
         _write_csv(jsonstream(ns.in_path), ns.out_path)
     else:
@@ -137,12 +142,12 @@ def _cmd_split(ns) -> int:
 
 
 def _cmd_stratify(ns) -> int:
-    _write_jsonl(jsonstream(ns.in_path) | stratify_sample(class_field=ns.class_field), ns.out_path)
+    _write_jsonl(jsonstream(ns.in_path) | stratify_sample(class_field=ns.class_field), ns.out_path, ns.in_path)
     return 0
 
 
 def _cmd_shard(ns) -> int:
-    _write_jsonl(jsonstream(ns.in_path) | shard(ns.k, ns.n), ns.out_path)
+    _write_jsonl(jsonstream(ns.in_path) | shard(ns.k, ns.n), ns.out_path, ns.in_path)
     return 0
 
 
@@ -163,7 +168,7 @@ def _cmd_window(ns) -> int:
     stream = jsonstream(ns.in_path)
     for name in fields:
         stream = stream | apply(name, name, _windowed_value(ns.in_path, name))
-    _write_jsonl(stream | sliding_window(fields, ns.size), ns.out_path, _window_encoder())
+    _write_jsonl(stream | sliding_window(fields, ns.size), ns.out_path, ns.in_path, _window_encoder())
     return 0
 
 

@@ -1,7 +1,8 @@
 """Multi-field records with per-field evaluation strategies.
 
-A :class:`Record` is an ordered collection of named fields. Each field
-carries one of three strategies:
+A :class:`Record` is an ordered collection of named fields. A source
+adopts each parsed row whole (``Record._adopt``); every other store is
+:meth:`Record.set_field`. Each field carries one of three strategies:
 
 * ``EAGER``: the value was computed up front and is stored bare.
 * ``LAZY_MEMOIZED``: a :class:`FieldCell` thunk runs on the first
@@ -120,7 +121,8 @@ class Record:
 
     ``Record(x=1, y=2)`` builds eager fields in keyword order. New
     fields append; replacing a field keeps its position. Field names
-    are unique non-empty strings.
+    are unique non-empty strings. A source adopts a row whole once its
+    names are checked; every other store is :meth:`set_field`.
     """
 
     __slots__ = ("_cells",)
@@ -132,10 +134,16 @@ class Record:
 
     @classmethod
     def from_values(cls, values: Mapping[str, Value]) -> "Record":
-        """Eager record from a mapping; needed when names aren't identifiers."""
-        r = cls()
-        for name, value in values.items():
-            r.set_field(name, value)
+        """Record of a mapping's values, each kept as it is (a FieldCell too); for names that aren't identifiers."""
+        for name in values:
+            check_name(name)
+        return cls._adopt(dict(values))
+
+    @classmethod
+    def _adopt(cls, cells: dict[str, Value]) -> "Record":
+        """Record that owns ``cells``, a fresh dict whose names are already checked; nothing is copied."""
+        r = cls.__new__(cls)
+        r._cells = cells
         return r
 
     def get_field(self, name: str) -> Value:
@@ -146,7 +154,7 @@ class Record:
         return value.get(self) if type(value) is FieldCell else value
 
     def set_field(self, name: str, value: Value) -> "Record":
-        """The one store: keeps a thunk cell, unwraps an EAGER cell, stores any other value bare (no TypeError)."""
+        """Store one field: keeps a thunk cell, unwraps an EAGER cell, stores any other value bare (no TypeError)."""
         check_name(name)
         if type(value) is FieldCell and value.strategy is EvalStrategy.EAGER:
             value = value._stored
@@ -177,15 +185,15 @@ class Record:
         return name in self._cells
 
     def to_dict(self) -> dict[str, Value]:
-        """Force every field and return name -> value in field order."""
+        """Force every field and return a new dict of name -> value in field order."""
+        if FieldCell not in map(type, self._cells.values()):
+            return self._cells.copy()
         return {name: self.get_field(name) for name in self._cells}
 
     def clone(self) -> "Record":
         """New record with cloned cells (same strategies, fresh counters)."""
-        r = Record()
-        for name, value in self._cells.items():
-            r._cells[name] = value.clone() if type(value) is FieldCell else value
-        return r
+        return Record._adopt({name: value.clone() if type(value) is FieldCell else value
+                              for name, value in self._cells.items()})
 
     def __copy__(self) -> "Record":
         """New record sharing this one's cells; a later set or delete on either leaves the other alone.

@@ -4,8 +4,9 @@ All file enumeration is sorted lexicographically so two runs over the
 same tree produce byte-identical streams. CSV follows the minimal RFC
 4180 dialect (comma, double quotes, doubled-quote escaping, UTF-8).
 JSON input is either one top-level array of objects or JSON Lines,
-detected by the first non-whitespace character. JSON Lines breaks
-lines only at ``\n``, so U+2028, U+2029 and U+0085 stay inside a line.
+detected by the first non-whitespace character. JSON Lines is read one
+line at a time and breaks lines only at ``\n``, so U+2028, U+2029,
+U+0085 and a lone ``\r`` stay inside a line.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 from collections.abc import Mapping
 
 from .errors import NotAnObject, ParseError, RaggedRow, UnknownClass
-from .record import Record
+from .record import Record, check_name
 from .stream import Datastream
 
 __all__ = ["get_files", "get_datastream", "csvsource", "jsonstream"]
@@ -118,7 +119,7 @@ def csvsource(path) -> Datastream:
                     raise RaggedRow(
                         f"{path}:{reader.line_num}: row has {len(row)} cells, header has {len(header)}"
                     )
-                yield Record.from_values(dict(zip(header, row)))
+                yield Record._adopt(dict(zip(header, row)))
 
     return Datastream(gen())
 
@@ -128,34 +129,36 @@ def jsonstream(path) -> Datastream:
 
     Scalars, arrays and nested objects map to the corresponding field
     values; everything is eager. An element that is not an object
-    raises NotAnObject.
+    raises NotAnObject, and an empty key ValueError.
     """
     path = os.fspath(path)
 
     def record_of(obj, where: str) -> Record:
         if not isinstance(obj, dict):
             raise NotAnObject(f"{where}: element is {type(obj).__name__}, not an object")
-        return Record.from_values(obj)
+        if "" in obj:
+            check_name("")
+        return Record._adopt(obj)
 
     def gen():
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("["):
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-            for i, obj in enumerate(data):
-                yield record_of(obj, f"{path}[{i}]")
-        else:
-            for lineno, line in enumerate(text.split("\n"), start=1):
-                if not line.strip():
-                    continue
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            first = next((line for line in fh if line.strip()), "")
+            fh.seek(0)
+            if first.lstrip().startswith("["):
                 try:
-                    obj = json.loads(line)
+                    data = json.load(fh)
                 except json.JSONDecodeError as e:
-                    raise ParseError(f"{path}:{lineno}:{e.colno}: {e.msg}") from None
-                yield record_of(obj, f"{path}:{lineno}")
+                    raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+                for i, obj in enumerate(data):
+                    yield record_of(obj, f"{path}[{i}]")
+            else:
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line.rstrip("\r\n"))
+                    except json.JSONDecodeError as e:
+                        raise ParseError(f"{path}:{lineno}:{e.colno}: {e.msg}") from None
+                    yield record_of(obj, f"{path}:{lineno}")
 
     return Datastream(gen())

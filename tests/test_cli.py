@@ -121,6 +121,21 @@ def test_split_repeated_key_exits_2_and_keeps_earlier_output(pet_tree, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pets", "split.json"]
 
 
+def test_unencodable_output_names_input_and_record(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    write(src, '{"a": 1}\n{"a": "\\udcff"}\n')  # json.loads accepts the escaped lone surrogate
+    out = tmp_path / "o.jsonl"
+    assert run_cli(["shard", "--in", str(src), "--k", "0", "--n", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {src}: output record 2: 'utf-8' codec can't encode" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+    one = tmp_path / "one.jsonl"
+    write(one, '{"a": "\\udcff"}\n')
+    assert run_cli(["shard", "--in", str(one), "--k", "0", "--n", "1", "--out", str(out)]) == 2
+    assert f"error: {one}: output record 1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_shard_parameters_exit_2(tmp_path):
     src = tmp_path / "in.jsonl"
     write(src, '{"a":1}\n')
@@ -330,7 +345,7 @@ def _walk_and_dumps(value) -> str:
 def test_writers_match_walk_and_dumps(rows):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "out.jsonl")
-        cli._write_jsonl([Record.from_values(row) for row in rows], path)
+        cli._write_jsonl([Record.from_values(row) for row in rows], path, "in.jsonl")
         with open(path, encoding="utf-8", newline="") as fh:
             got = fh.read()
     assert got == "".join(_walk_and_dumps(row) + "\n" for row in rows)

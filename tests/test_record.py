@@ -260,3 +260,34 @@ def test_mixed_record_repr_clone_and_to_dict():
     ]
     assert repr(r.cell("a")) == "FieldCell.eager(1)"
     assert repr(r.cell("y")) == "FieldCell(lazy_memoized forced)"
+
+
+# to_dict and from_values -----------------------------------------------------------
+
+def test_to_dict_is_a_new_dict_for_eager_and_mixed_records():
+    eager = Record(x=1, y=[2])
+    mixed = Record(x=1).set_field("y", FieldCell.lazy_memoized(lambda rr: rr.get_field("x") + 1))
+    for r, want in [(eager, {"x": 1, "y": [2]}), (mixed, {"x": 1, "y": 2})]:
+        d = r.to_dict()
+        assert d == want
+        d["x"] = 99
+        d["z"] = 0
+        del d["y"]
+        assert r.to_dict() == want
+        assert r.field_names() == ["x", "y"]
+
+
+@pytest.mark.parametrize("name", ["", 3, None, b"a", ("a",)])
+def test_from_values_rejects_a_non_text_or_empty_name(name):
+    with pytest.raises(ValueError, match="field name must be a non-empty string"):
+        Record.from_values({"ok": 1, name: 2})
+
+
+def test_from_values_copies_the_mapping():
+    values = {"a": 1, "b": "t"}
+    r = Record.from_values(values)
+    values["a"] = 2
+    del values["b"]
+    assert r.to_dict() == {"a": 1, "b": "t"}
+    r.set_field("c", 3)
+    assert values == {"a": 2}

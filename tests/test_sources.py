@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -176,6 +177,16 @@ def test_csvsource_blank_or_repeated_header_name_fails_before_first_row(tmp_path
     assert "t.csv:1:" in str(exc.value) and cell in str(exc.value)
 
 
+def test_csvsource_rows_do_not_share_storage(tmp_path):
+    p = tmp_path / "t.csv"
+    touch(p, "a,b\n1,x\n2,y\n")
+    first, second = as_list(csvsource(p))
+    first.set_field("a", "changed")
+    first.set_field("c", "new")
+    assert second.to_dict() == {"a": "2", "b": "y"}
+    assert first.to_dict() == {"a": "changed", "b": "x", "c": "new"}
+
+
 # jsonstream ------------------------------------------------------------------------
 
 def test_jsonstream_array(tmp_path):
@@ -218,3 +229,51 @@ def test_jsonstream_blank_lines_skipped(tmp_path):
     p = tmp_path / "t.jsonl"
     touch(p, '{"a":1}\n\n{"a":2}\n')
     assert len(as_list(jsonstream(p))) == 2
+
+
+@pytest.mark.parametrize("text", ['{"a":1}\n{"a":2,"":3}\n', '[{"a":1},{"":3}]'])
+def test_jsonstream_empty_key_raises_value_error(tmp_path, text):
+    p = tmp_path / "t.json"
+    touch(p, text)
+    it = iter(jsonstream(p))
+    assert next(it).to_dict() == {"a": 1}
+    with pytest.raises(ValueError, match="field name must be a non-empty string, got ''"):
+        next(it)
+
+
+def test_jsonstream_array_parse_error_counts_from_file_start(tmp_path):
+    p = tmp_path / "t.json"
+    touch(p, '\n  \n[{"a":1},\n{"b":}]')
+    with pytest.raises(ParseError) as exc:
+        as_list(jsonstream(p))
+    assert str(exc.value) == f"{p}:4:6: Expecting value"
+
+
+def test_jsonstream_breaks_lines_only_at_newline(tmp_path):
+    p = tmp_path / "t.jsonl"
+    p.write_bytes('{"a": "x\u2028y\x85z"}\r\n{"a":\r1}\n'.encode("utf-8"))
+    assert [r.to_dict() for r in as_list(jsonstream(p))] == [{"a": "x\u2028y\x85z"}, {"a": 1}]
+    p.write_bytes(b'{"a":1}\r{"a":2}\n')  # a lone "\r" is whitespace inside the line
+    with pytest.raises(ParseError) as exc:
+        as_list(jsonstream(p))
+    assert str(exc.value) == f"{p}:1:9: Extra data"
+    p.write_bytes(b'{"a":1}\n{"a":\r\n')
+    with pytest.raises(ParseError) as exc:
+        as_list(jsonstream(p))
+    assert str(exc.value) == f"{p}:2:6: Expecting value"
+
+
+def test_jsonstream_jsonl_is_read_a_line_at_a_time(tmp_path):
+    p = tmp_path / "big.jsonl"
+    line = json.dumps({"i": 0, "text": "x" * 200}) + "\n"
+    p.write_text(line * 5_000, encoding="utf-8")
+    size = p.stat().st_size
+    tracemalloc.start()
+    try:
+        it = iter(jsonstream(p))
+        first = next(it)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.get_field("i") == 0
+    assert peak < size // 10, (peak, size)
