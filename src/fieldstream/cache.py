@@ -72,12 +72,31 @@ def _encode_default(value):
     raise _not_encodable(value)
 
 
-# Writes exactly what json.dumps(to_jsonable(v), ensure_ascii=False) writes, without the walk
-# or a new encoder per call. It turns non-text map keys into text where to_jsonable raises, so
-# it serves only values whose map keys are text by construction (parsed CSV or JSON rows).
-_ENCODER = json.JSONEncoder(ensure_ascii=False, default=_encode_default)
+class _Encoder:
+    """The stdlib's C JSON encoder, built once: ``JSONEncoder.encode`` builds a new one per call.
+
+    The arguments are those ``JSONEncoder.iterencode`` passes on CPython 3.10-3.13. ``markers``
+    is None, so there is no circular reference check: markers kept across calls hold stale ids
+    after an encode raises, and a later call would report a false circular reference. Nothing
+    cyclic reaches these encoders: they get parsed CSV and JSON rows, and what ``to_jsonable``
+    built, which fails on a cycle before any encoding starts.
+    """
+
+    def __init__(self, item_sep: str, key_sep: str, default):
+        self._c = json.encoder.c_make_encoder(
+            None, default, json.encoder.encode_basestring, None, key_sep, item_sep, False, False, True
+        )
+
+    def encode(self, o) -> str:
+        return "".join(self._c(o, 0))
+
+
+# Writes exactly what json.dumps(to_jsonable(v), ensure_ascii=False) writes, without the walk.
+# It turns non-text map keys into text where to_jsonable raises, so it serves only values
+# whose map keys are text by construction (parsed CSV or JSON rows).
+_ENCODER = _Encoder(", ", ": ", _encode_default)
 # Writes exactly what json.dumps(payload, ensure_ascii=False, separators=(",", ":")) writes.
-_COMPACT_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+_COMPACT_ENCODER = _Encoder(",", ":", json.JSONEncoder().default)
 
 
 def to_jsonable(value: Value, tensor=_data_obj):

@@ -31,11 +31,11 @@ from .tensor import Tensor, as_tensor
 __all__ = ["run_cli"]
 
 
-def _write_jsonl(records, path, source, encode=_ENCODER.encode) -> None:
-    """Write one line per record: ``encode`` of its field dict, which must write what ``_ENCODER.encode`` does;
-    a value UTF-8 cannot hold (a lone surrogate) is a ValueError naming ``source``, the input, and the record."""
+def _write_lines(records, path, source, encode=_ENCODER.encode) -> None:
+    """Write ``encode`` of each record's field dict and a ``\n``; the default writes JSON Lines.
+    A value UTF-8 cannot hold (a lone surrogate) is a ValueError naming ``source``, the input, and the record."""
     n = 0
-    with atomic_open(path, encoding="utf-8") as fh:
+    with atomic_open(path, newline="", encoding="utf-8") as fh:
         try:
             for n, r in enumerate(records, 1):
                 fh.write(encode(r.to_dict()) + "\n")
@@ -98,32 +98,41 @@ def _csv_cell(value) -> str:
     return _ENCODER.encode(value)
 
 
-def _write_csv(records, path) -> None:
-    with atomic_open(path, newline="", encoding="utf-8") as fh:
-        # A "\r\n" terminator makes QUOTE_MINIMAL quote a cell holding a lone "\r" as well as "\n",
-        # so csvsource reads the file back; its "\r\n" is cut to "\n" here. That each writerow is one
-        # write ending in the terminator is how CPython's _csv works, not what the csv docs promise;
-        # tests/test_cli.py pins it.
-        rows = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
-        writer = csv.writer(rows, lineterminator="\r\n")
-        header: list[str] | None = None
-        for r in records:
-            names = r.field_names()
-            if header is None:
-                header, header_set = names, set(names)
-                writer.writerow(header)
-            elif set(names) != header_set:
-                raise RaggedRow(f"record fields {names} do not match header {header}")
-            writer.writerow([_csv_cell(r.get_field(n)) for n in header])
+def _csv_encoder():
+    """A line encoder for CSV output: one row per record, under a header taken from the first.
+
+    A later record whose field names differ from the header's raises RaggedRow.
+    """
+    lines: list[str] = []
+    # A "\r\n" terminator makes QUOTE_MINIMAL quote a cell holding a lone "\r" as well as "\n",
+    # so csvsource reads the file back; its "\r\n" is cut to "\n" here. That each writerow is one
+    # write ending in the terminator is how CPython's _csv works, not what the csv docs promise;
+    # tests/test_cli.py pins it.
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    header: dict | None = None  # the first record's field names, as a dict for its keys view
+
+    def encode(fields: dict) -> str:
+        nonlocal header
+        if header is None:
+            header = dict.fromkeys(fields)
+            writer.writerow(header)
+        elif fields.keys() != header.keys():
+            raise RaggedRow(f"record fields {list(fields)} do not match header {list(header)}")
+        writer.writerow([_csv_cell(fields[n]) for n in header])
+        text = "\n".join(line[:-2] for line in lines)
+        lines.clear()
+        return text
+
+    return encode
 
 
 def _cmd_convert(ns) -> int:
     src_ext = os.path.splitext(ns.in_path)[1].lower()
     dst_ext = os.path.splitext(ns.out_path)[1].lower()
     if src_ext == ".csv" and dst_ext == ".jsonl":
-        _write_jsonl(csvsource(ns.in_path), ns.out_path, ns.in_path)
+        _write_lines(csvsource(ns.in_path), ns.out_path, ns.in_path)
     elif src_ext == ".jsonl" and dst_ext == ".csv":
-        _write_csv(jsonstream(ns.in_path), ns.out_path)
+        _write_lines(jsonstream(ns.in_path), ns.out_path, ns.in_path, _csv_encoder())
     else:
         print(f"convert: unsupported conversion {src_ext or '?'} -> {dst_ext or '?'}", file=sys.stderr)
         return 1
@@ -142,12 +151,12 @@ def _cmd_split(ns) -> int:
 
 
 def _cmd_stratify(ns) -> int:
-    _write_jsonl(jsonstream(ns.in_path) | stratify_sample(class_field=ns.class_field), ns.out_path, ns.in_path)
+    _write_lines(jsonstream(ns.in_path) | stratify_sample(class_field=ns.class_field), ns.out_path, ns.in_path)
     return 0
 
 
 def _cmd_shard(ns) -> int:
-    _write_jsonl(jsonstream(ns.in_path) | shard(ns.k, ns.n), ns.out_path, ns.in_path)
+    _write_lines(jsonstream(ns.in_path) | shard(ns.k, ns.n), ns.out_path, ns.in_path)
     return 0
 
 
@@ -168,7 +177,7 @@ def _cmd_window(ns) -> int:
     stream = jsonstream(ns.in_path)
     for name in fields:
         stream = stream | apply(name, name, _windowed_value(ns.in_path, name))
-    _write_jsonl(stream | sliding_window(fields, ns.size), ns.out_path, ns.in_path, _window_encoder())
+    _write_lines(stream | sliding_window(fields, ns.size), ns.out_path, ns.in_path, _window_encoder())
     return 0
 
 

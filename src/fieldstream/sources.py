@@ -6,7 +6,8 @@ same tree produce byte-identical streams. CSV follows the minimal RFC
 JSON input is either one top-level array of objects or JSON Lines,
 detected by the first non-whitespace character. JSON Lines is read one
 line at a time and breaks lines only at ``\n``, so U+2028, U+2029,
-U+0085 and a lone ``\r`` stay inside a line.
+U+0085 and a lone ``\r`` stay inside a line. Invalid UTF-8 in either
+source is a ParseError naming the file and the line of the first bad byte.
 """
 
 from __future__ import annotations
@@ -93,6 +94,22 @@ def get_datastream(data_dir, ext: str | None = None, classes: Mapping[str, int] 
     return Datastream(gen())
 
 
+def _not_utf8(path: str, e: UnicodeDecodeError) -> ParseError:
+    """The ParseError for the first invalid UTF-8 in ``path``, naming the 1-based line that holds it.
+
+    No UTF-8 sequence holds a ``\n`` byte, so the first line that does not decode on its
+    own holds the first bad byte. Only this error path reads the file a second time.
+    """
+    lineno = 0
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return ParseError(f"{path}:{lineno}: not valid UTF-8: {e.reason}")
+
+
 def csvsource(path) -> Datastream:
     """Stream of records from a CSV file; the header names the fields.
 
@@ -103,23 +120,26 @@ def csvsource(path) -> Datastream:
     path = os.fspath(path)
 
     def gen():
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file, expected a header row") from None
-            if not header:
-                raise ParseError(f"{path}: blank header row")
-            for i, name in enumerate(header):
-                if not name or name in header[:i]:
-                    raise ParseError(f"{path}:{reader.line_num}: header cell {i + 1} {name!r} is blank or repeated")
-            for row in reader:
-                if len(row) != len(header):
-                    raise RaggedRow(
-                        f"{path}:{reader.line_num}: row has {len(row)} cells, header has {len(header)}"
-                    )
-                yield Record._adopt(dict(zip(header, row)))
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                try:
+                    header = next(reader)
+                except StopIteration:
+                    raise ParseError(f"{path}: empty file, expected a header row") from None
+                if not header:
+                    raise ParseError(f"{path}: blank header row")
+                for i, name in enumerate(header):
+                    if not name or name in header[:i]:
+                        raise ParseError(f"{path}:{reader.line_num}: header cell {i + 1} {name!r} is blank or repeated")
+                for row in reader:
+                    if len(row) != len(header):
+                        raise RaggedRow(
+                            f"{path}:{reader.line_num}: row has {len(row)} cells, header has {len(header)}"
+                        )
+                    yield Record._adopt(dict(zip(header, row)))
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path, e) from None
 
     return Datastream(gen())
 
@@ -141,24 +161,27 @@ def jsonstream(path) -> Datastream:
         return Record._adopt(obj)
 
     def gen():
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            first = next((line for line in fh if line.strip()), "")
-            fh.seek(0)
-            if first.lstrip().startswith("["):
-                try:
-                    data = json.load(fh)
-                except json.JSONDecodeError as e:
-                    raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-                for i, obj in enumerate(data):
-                    yield record_of(obj, f"{path}[{i}]")
-            else:
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
+        try:
+            with open(path, encoding="utf-8", newline="\n") as fh:
+                first = next((line for line in fh if line.strip()), "")
+                fh.seek(0)
+                if first.lstrip().startswith("["):
                     try:
-                        obj = json.loads(line.rstrip("\r\n"))
+                        data = json.load(fh)
                     except json.JSONDecodeError as e:
-                        raise ParseError(f"{path}:{lineno}:{e.colno}: {e.msg}") from None
-                    yield record_of(obj, f"{path}:{lineno}")
+                        raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+                    for i, obj in enumerate(data):
+                        yield record_of(obj, f"{path}[{i}]")
+                else:
+                    for lineno, line in enumerate(fh, start=1):
+                        if not line.strip():
+                            continue
+                        try:
+                            obj = json.loads(line.rstrip("\r\n"))
+                        except json.JSONDecodeError as e:
+                            raise ParseError(f"{path}:{lineno}:{e.colno}: {e.msg}") from None
+                        yield record_of(obj, f"{path}:{lineno}")
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path, e) from None
 
     return Datastream(gen())

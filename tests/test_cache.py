@@ -1,7 +1,9 @@
 """Value encoding, decoding and the disk-backed apply."""
 
 import base64
+import functools
 import json
+import math
 import os
 import random
 import struct
@@ -20,7 +22,7 @@ from fieldstream import (
     get_datastream,
     to_jsonable,
 )
-from fieldstream.cache import sanitize_key
+from fieldstream.cache import _COMPACT_ENCODER, _ENCODER, _tensor_obj, sanitize_key
 
 from helpers import ds, random_value, recs, strict_equal, values
 
@@ -194,6 +196,68 @@ def test_encode_rejects_non_values():
         encode_value({1: "non-string key"})
     with pytest.raises(TypeError):
         encode_value(object())
+
+
+# the prebuilt encoders against the stdlib ----------------------------------------
+
+# text with lone surrogates, line separators JSON Lines must keep inside a line, and escapes
+_ODD_CHARS = ["\ud800", "\udcff", "\u2028", "\u0085", '"', "\\", "\n", "\x00"]
+_ODD_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(_ODD_CHARS)), max_size=6)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf]),
+    _ODD_TEXT,
+    st.lists(st.floats(), max_size=4).map(lambda data: Tensor((len(data),), data)),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_ODD_TEXT, children, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+def _outcome(encode, value):
+    """What ``encode`` returns for ``value``, or the type and message of the TypeError it raises."""
+    try:
+        return encode(value)
+    except TypeError as e:
+        return TypeError, str(e)
+
+
+def _tensor_default(value):
+    assert isinstance(value, Tensor)
+    return _tensor_obj(value.shape, value.data)
+
+
+# _Encoder calls json.encoder.c_make_encoder with the positional arguments JSONEncoder.iterencode
+# passes; that order is private CPython API, and this test is its guard on each version CI runs.
+@example([None, True, 10**40, -0.0, 5e-324, math.nan, math.inf, -math.inf, "\ud800\u2028\u0085", (1, ())])
+@example({"\udcff": Tensor((2,), [math.nan, -0.0])})
+@settings(max_examples=300)
+@given(_JSON_VALUES)
+def test_prebuilt_encoders_write_what_json_dumps_writes(v):
+    assert _ENCODER.encode(v) == json.dumps(v, ensure_ascii=False, default=_tensor_default)
+    # a tensor has no compact form: both raise the stdlib's TypeError
+    compact = functools.partial(json.dumps, ensure_ascii=False, separators=(",", ":"))
+    assert _outcome(_COMPACT_ENCODER.encode, v) == _outcome(compact, v)
+
+
+@pytest.mark.parametrize("encoder", [_ENCODER, _COMPACT_ENCODER], ids=["default", "compact"])
+def test_prebuilt_encoders_keep_nothing_from_a_failed_encode(encoder):
+    # an encoder that kept one circular-reference markers dict across calls would still hold
+    # these containers' ids after the raise, and call the second encode circular
+    row = [1, {"k": [2, object()]}]
+    with pytest.raises(TypeError):
+        encoder.encode(row)
+    row[1]["k"].pop()
+    assert json.loads(encoder.encode(row)) == [1, {"k": [2]}]
 
 
 # key sanitization -----------------------------------------------------------------

@@ -136,6 +136,34 @@ def test_unencodable_output_names_input_and_record(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unencodable_csv_output_names_input_and_record(tmp_path, capsys):
+    src, out = tmp_path / "in.jsonl", tmp_path / "o.csv"
+    write(src, '{"a": "x"}\n{"a": "\\udcff"}\n')
+    assert run_cli(["convert", "--in", str(src), "--out", str(out)]) == 2
+    assert f"error: {src}: output record 2: 'utf-8' codec can't encode" in capsys.readouterr().err
+    write(src, '{"\\udcff": "x"}\n')  # a header name UTF-8 cannot hold fails with the first record
+    assert run_cli(["convert", "--in", str(src), "--out", str(out)]) == 2
+    assert f"error: {src}: output record 1: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "name, data, line",
+    [
+        ("in.jsonl", b'{"a": 1}\n\xff\n', 2),
+        ("in.csv", b"a,b\r\n1,2\r\n\"x\ny\",\xc3\r\n", 4),
+    ],
+)
+def test_invalid_utf8_input_names_file_and_line(tmp_path, capsys, name, data, line):
+    src = tmp_path / name
+    src.write_bytes(data)
+    out = tmp_path / "o.jsonl"
+    command = ["convert"] if name.endswith(".csv") else ["shard", "--k", "0", "--n", "1"]
+    assert run_cli([*command, "--in", str(src), "--out", str(out)]) == 2
+    assert f"error: {src}:{line}: not valid UTF-8: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_shard_parameters_exit_2(tmp_path):
     src = tmp_path / "in.jsonl"
     write(src, '{"a":1}\n')
@@ -345,7 +373,7 @@ def _walk_and_dumps(value) -> str:
 def test_writers_match_walk_and_dumps(rows):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "out.jsonl")
-        cli._write_jsonl([Record.from_values(row) for row in rows], path, "in.jsonl")
+        cli._write_lines([Record.from_values(row) for row in rows], path, "in.jsonl")
         with open(path, encoding="utf-8", newline="") as fh:
             got = fh.read()
     assert got == "".join(_walk_and_dumps(row) + "\n" for row in rows)
@@ -505,7 +533,7 @@ def test_convert_ragged_jsonl_to_csv_exits_2(tmp_path, capsys):
 
 
 def test_csv_writerow_is_one_write_ending_in_its_terminator():
-    # _write_csv cuts each write's "\r\n" to "\n"; that holds only while CPython's _csv writes a row in one call
+    # _csv_encoder cuts each write's "\r\n" to "\n"; that holds only while CPython's _csv writes a row in one call
     writes = []
     writer = csv.writer(SimpleNamespace(write=writes.append), lineterminator="\r\n")
     writer.writerow(["a", "x\ry", "p\r\nq", 'say "hi"', ""])

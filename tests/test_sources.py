@@ -277,3 +277,25 @@ def test_jsonstream_jsonl_is_read_a_line_at_a_time(tmp_path):
         tracemalloc.stop()
     assert first.get_field("i") == 0
     assert peak < size // 10, (peak, size)
+
+
+# invalid UTF-8 ------------------------------------------------------------------
+
+INVALID_UTF8 = {
+    "csv-header": ("t.csv", b"a,\xff\n1,2\n", 1, "invalid start byte"),
+    "csv-quoted-newline": ("t.csv", b'a,b\r\n1,2\r\n"x\ny",\xc3\r\n', 4, "invalid continuation byte"),
+    "jsonl": ("t.jsonl", b'{"a": 1}\n\xff\n', 2, "invalid start byte"),
+    "jsonl-past-first-chunk": ("t.jsonl", b'{"a": 1}\n' * 5_000 + b'{"a": "\xe2\x82"}\n', 5_001, "invalid continuation byte"),
+    "jsonl-cut-at-end": ("t.jsonl", b'{"a": 1}\n\n{"a": "\xe2\x82', 3, "unexpected end of data"),
+    "array": ("t.json", b'[{"a": 1},\n\n {"a": "\xed\xa0\x80"}]\n', 3, "invalid continuation byte"),
+}
+
+
+@pytest.mark.parametrize("name, data, line, reason", INVALID_UTF8.values(), ids=INVALID_UTF8.keys())
+def test_invalid_utf8_is_a_parse_error_naming_file_and_line(tmp_path, name, data, line, reason):
+    p = tmp_path / name
+    p.write_bytes(data)
+    source = csvsource if name.endswith(".csv") else jsonstream
+    with pytest.raises(ParseError) as exc:
+        as_list(source(p))
+    assert str(exc.value) == f"{p}:{line}: not valid UTF-8: {reason}"
