@@ -18,7 +18,9 @@ is the record's key field with every byte outside ``[A-Za-z0-9._-]``
 percent-encoded. Writes go through a temp file and an atomic rename,
 so concurrent processes sharing a cache directory never observe a
 partial file. A file that exists but fails to decode raises
-CacheCorrupt naming the path; it is never silently recomputed.
+CacheCorrupt naming the path; it is never silently recomputed. A file
+holding one tensor, byte for byte as ``encode_value`` writes it, is
+decoded without the JSON parser; every other file is parsed as JSON.
 """
 
 from __future__ import annotations
@@ -142,10 +144,46 @@ def _tensor_from_f64(obj: dict) -> Tensor | None:
         raw = base64.b64decode(f64, validate=True)
     except ValueError as e:  # binascii.Error is a ValueError
         raise CacheCorrupt(f"bad tensor: {e}") from None
+    return _f64_tensor(shape, raw)
+
+
+def _f64_tensor(shape: tuple[int, ...], raw: bytes) -> Tensor:
+    """The tensor of a valid ``shape`` whose data ``raw`` holds as little-endian float64;
+    a byte count the shape does not match raises CacheCorrupt."""
     n = math.prod(shape)
     if len(raw) != 8 * n:
         raise CacheCorrupt(f"tensor f64 holds {len(raw)} bytes, shape {shape} needs {8 * n}")
     return Tensor._trusted(shape, struct.Struct(f"<{n}d").unpack(raw))
+
+
+# What encode_value writes for a top-level tensor, around its dimensions and its base64 text.
+_TENSOR_HEAD = b'{"v":2,"value":{"t":"tensor","shape":['
+_TENSOR_MID = b'],"f64":"'
+_TENSOR_TAIL = b'"}}'
+
+
+def _top_level_tensor(blob: bytes) -> Tensor | None:
+    """The tensor ``blob`` holds if it is byte for byte what ``encode_value`` writes for one; else None.
+
+    Dimensions are JSON non-negative ints. The base64 alphabet holds no quote, backslash or
+    brace, so text that decodes is the whole of one JSON string with no escapes, and ``blob``
+    is the JSON that ``_tensor_from_f64`` would decode to the same tensor. Anything else, a
+    wrong byte count included, is left to the JSON parser and its messages.
+    """
+    if not (blob.startswith(_TENSOR_HEAD) and blob.endswith(_TENSOR_TAIL)):
+        return None
+    mid = blob.find(_TENSOR_MID, len(_TENSOR_HEAD), len(blob) - len(_TENSOR_TAIL))  # no overlap with the tail
+    if mid < 0:
+        return None
+    dims = blob[len(_TENSOR_HEAD) : mid].split(b",") if mid > len(_TENSOR_HEAD) else ()
+    for d in dims:
+        if not (d.isdigit() and (d[0] != 0x30 or len(d) == 1)):  # no sign, no leading zero
+            return None
+    try:
+        raw = base64.b64decode(blob[mid + len(_TENSOR_MID) : -len(_TENSOR_TAIL)], validate=True)
+        return _f64_tensor(tuple(map(int, dims)), raw)
+    except (ValueError, CacheCorrupt):
+        return None
 
 
 def from_jsonable(obj, tensor=_tensor_from_data) -> Value:
@@ -170,6 +208,8 @@ def encode_value(value: Value) -> bytes:
 def decode_value(blob: bytes | str) -> Value:
     """Parse cache format 1 or 2; any malformation raises CacheCorrupt."""
     if isinstance(blob, bytes):
+        if (t := _top_level_tensor(blob)) is not None:
+            return t
         try:
             blob = blob.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -217,6 +257,23 @@ def atomic_write_bytes(path, data: bytes) -> None:
         fh.write(data)
 
 
+def _read_file(path: str) -> bytes | None:
+    """The bytes of the file at ``path``, read without a buffered file object; None if it does not exist."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        return None
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    except OSError as e:  # os.read gives no file name: a directory is IsADirectoryError here
+        raise type(e)(e.errno, e.strerror, path) from None
+    finally:
+        os.close(fd)
+
+
 @pipeable
 def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") -> Datastream:
     """Like an eager ``apply`` whose results persist on disk per record.
@@ -240,11 +297,7 @@ def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") ->
             if not isinstance(key, str):
                 raise TypeError(f"cache key field {key_field!r} must be text, got {type(key).__name__}")
             path = os.path.join(subdir, sanitize_key(key) + ".json")
-            try:
-                with open(path, "rb") as fh:
-                    blob = fh.read()
-            except FileNotFoundError:
-                blob = None
+            blob = _read_file(path)
             if blob is None:
                 value = f(read(r))
                 atomic_write_bytes(path, encode_value(value))

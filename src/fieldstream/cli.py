@@ -33,14 +33,14 @@ __all__ = ["run_cli"]
 
 def _write_lines(records, path, source, encode=_ENCODER.encode) -> None:
     """Write ``encode`` of each record's field dict and a ``\n``; the default writes JSON Lines.
-    A value UTF-8 cannot hold (a lone surrogate) is a ValueError naming ``source``, the input, and the record."""
-    n = 0
+    A value UTF-8 cannot hold (a lone surrogate), or a CSV record whose fields differ from the
+    header's, is a ValueError naming ``source``, the input, and the record."""
     with atomic_open(path, newline="", encoding="utf-8") as fh:
-        try:
-            for n, r in enumerate(records, 1):
+        for n, r in enumerate(records, 1):
+            try:
                 fh.write(encode(r.to_dict()) + "\n")
-        except UnicodeEncodeError as e:
-            raise ValueError(f"{source}: output record {n}: {e}") from None
+            except (UnicodeEncodeError, RaggedRow) as e:  # not around the source, whose errors name it
+                raise ValueError(f"{source}: output record {n}: {e}") from None
 
 
 def _row_text(row: tuple[float, ...]) -> str:

@@ -7,11 +7,13 @@ import math
 import os
 import random
 import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fieldstream.cache
 from fieldstream import (
     CacheCorrupt,
     Tensor,
@@ -24,7 +26,7 @@ from fieldstream import (
 )
 from fieldstream.cache import _COMPACT_ENCODER, _ENCODER, _tensor_obj, sanitize_key
 
-from helpers import ds, random_value, recs, strict_equal, values
+from helpers import ds, random_value, recs, scalar_values, strict_equal, values
 
 
 # encode / decode -----------------------------------------------------------------
@@ -191,6 +193,99 @@ def test_decode_rejects_malformed_v2_tensor(blob, tmp_path):
     assert str(tmp_path / "sq" / "f0.json") in str(exc.value)
 
 
+# a top-level tensor's bytes skip the JSON parser; text always takes it, so text is the oracle
+
+_F64_FLOATS = st.one_of(st.floats(width=64), st.sampled_from([-0.0, math.nan, NAN_PAYLOAD, -NAN_PAYLOAD]))
+_F64_TENSORS = st.lists(st.integers(min_value=0, max_value=3), max_size=3).flatmap(
+    lambda shape: st.lists(_F64_FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda data: Tensor(shape, data)
+    )
+)
+_CACHE_VALUES = st.one_of(
+    _F64_TENSORS,
+    st.recursive(
+        st.one_of(scalar_values, _F64_TENSORS),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3), st.dictionaries(st.sampled_from(["a", "f64"]), children, max_size=2)
+        ),
+        max_leaves=4,
+    ),
+)
+
+
+def _mutate(blob: bytes, kind: str, i: int, extra: bytes) -> bytes:
+    """``blob`` changed as ``kind`` says; ``i`` picks a position, ``extra`` the bytes to add."""
+    if kind == "none":
+        return blob
+    if kind == "whitespace":
+        i %= len(blob) + 1
+        return blob[:i] + (extra if extra.isspace() else b" ") + blob[i:]
+    if kind == "escape":  # one base64 "A" written as a JSON escape
+        start = blob.find(b'"f64":"')
+        a = blob.find(b"A", start) if start >= 0 else -1
+        return blob if a < 0 else blob[:a] + b"\\u0041" + blob[a + 1 :]
+    if kind == "remove":
+        i %= len(blob)
+        return blob[:i] + blob[i + 1 :]
+    if kind == "trailing":
+        return blob + extra
+    if kind == "v1":
+        return blob.replace(b'"v":2', b'"v":1', 1)
+    dims = {"leading-zero": b"0", "negative": b"-", "19-digits": b"1" * 19 + b","}
+    return blob.replace(b'"shape":[', b'"shape":[' + dims[kind], 1)
+
+
+_MUTATIONS = st.tuples(
+    st.sampled_from(["none", "whitespace", "escape", "leading-zero", "negative", "19-digits", "remove", "v1", "trailing"]),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from([b" ", b"\r\n\t", b"x", b"}"]),
+)
+
+
+def _decoded(blob):
+    """What decode_value returns for ``blob``, or the type and message of what it raises."""
+    try:
+        return decode_value(blob)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@example(Tensor((0,), []), ("remove", -3, b" "))  # '"f64":"}}': the text's quote is also the tail's
+@example(Tensor((0, 2), []), ("none", 0, b" "))
+@example(Tensor((), [-0.0]), ("19-digits", 0, b" "))
+@example(Tensor((2,), [NAN_PAYLOAD, -0.0]), ("escape", 0, b" "))
+@example(Tensor((1,), [1.0]), ("remove", -5, b" "))  # a byte count the shape does not match
+@example(Tensor((1,), [1.0]), ("whitespace", -8, b" "))  # a space inside the base64 text
+@example(Tensor((2, 0), []), ("negative", 0, b" "))  # [-2,0] holds no element
+@settings(max_examples=400)
+@given(_CACHE_VALUES, _MUTATIONS)
+def test_decode_of_bytes_matches_decode_of_text(v, mutation):
+    blob = _mutate(encode_value(v), *mutation)
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError:  # a removed byte split a character: only bytes can hold that
+        with pytest.raises(CacheCorrupt, match="^not UTF-8: "):
+            decode_value(blob)
+        return
+    got, want = _decoded(blob), _decoded(text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert strict_equal(got, want)
+
+
+@pytest.mark.parametrize("t", [Tensor((), [1.5]), Tensor((0, 2), []), Tensor((2, 1), [NAN_PAYLOAD, -0.0])])
+def test_top_level_tensor_bytes_skip_the_json_parser(t, monkeypatch):
+    def loads(_text):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(fieldstream.cache, "json", SimpleNamespace(loads=loads, JSONDecodeError=json.JSONDecodeError))
+    assert strict_equal(decode_value(encode_value(t)), t)
+    for other in [encode_value(t).decode("utf-8"), encode_value([t])]:  # text, or a tensor inside a list
+        with pytest.raises(AssertionError, match="json.loads called"):
+            decode_value(other)
+
+
 def test_encode_rejects_non_values():
     with pytest.raises(TypeError):
         encode_value({1: "non-string key"})
@@ -346,6 +441,31 @@ def test_cache_tensor_payload(tmp_path):
     rows2 = ds(recs([{"filename": "t1", "x": 0}]))
     out = as_list(apply_cached(rows2, "x", "feat", lambda v: None, tmp_path))
     assert out[0].get_field("feat") == t
+
+
+def test_cache_path_that_is_a_directory_names_it(tmp_path):
+    (tmp_path / "sq" / "f0.json").mkdir(parents=True)
+    with pytest.raises(OSError) as exc:
+        as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: v, tmp_path))
+    assert str(tmp_path / "sq" / "f0.json") in str(exc.value)
+
+
+def test_tensor_file_of_many_read_chunks_comes_back_warm(tmp_path):
+    rng = random.Random(14)
+    data = [rng.uniform(-1e6, 1e6) for _ in range(20_000)] + [-0.0, NAN_PAYLOAD, 5e-324]
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return Tensor((len(data),), data)
+
+    def run():
+        return as_list(apply_cached(squares_stream(1), "x", "feat", f, tmp_path))[0].get_field("feat")
+
+    cold, warm = run(), run()
+    assert calls == [0]
+    assert os.path.getsize(tmp_path / "feat" / "f0.json") > 3 * 65536
+    assert strict_equal(cold, warm) and strict_equal(warm, Tensor((len(data),), data))
 
 
 def test_cache_requires_text_key(tmp_path):

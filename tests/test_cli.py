@@ -528,8 +528,12 @@ def test_convert_ragged_jsonl_to_csv_exits_2(tmp_path, capsys):
     src, out = tmp_path / "in.jsonl", tmp_path / "o.csv"
     write(src, '{"a":1,"b":2}\n{"b":3,"a":4}\n{"a":5}\n')
     assert run_cli(["convert", "--in", str(src), "--out", str(out)]) == 2
-    assert "record fields ['a'] do not match header ['a', 'b']" in capsys.readouterr().err
+    assert f"error: {src}: output record 3: record fields ['a'] do not match header ['a', 'b']" in capsys.readouterr().err
     assert not out.exists()
+    write(src, '{"a": 1}\n{"b": 2}\n')
+    assert run_cli(["convert", "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {src}: output record 2: record fields ['b'] do not match header ['a']\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
 def test_csv_writerow_is_one_write_ending_in_its_terminator():
