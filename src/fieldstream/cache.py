@@ -216,8 +216,9 @@ def decode_value(blob: bytes | str) -> Value:
             raise CacheCorrupt(f"not UTF-8: {e}") from None
     try:
         payload = json.loads(blob)
-    except json.JSONDecodeError as e:
-        raise CacheCorrupt(f"malformed JSON: {e.msg} at {e.lineno}:{e.colno}") from None
+    except ValueError as e:  # a JSONDecodeError, or an integer of more digits than int() accepts
+        reason = f"{e.msg} at {e.lineno}:{e.colno}" if isinstance(e, json.JSONDecodeError) else e
+        raise CacheCorrupt(f"malformed JSON: {reason}") from None
     if not isinstance(payload, dict) or "v" not in payload or "value" not in payload:
         raise CacheCorrupt("missing version envelope")
     if payload["v"] not in (1, 2):

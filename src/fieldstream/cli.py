@@ -7,11 +7,13 @@ interchange format, with tensors as ``{"t", "shape", "data"}`` objects.
 Exit codes: 0 success, 1 usage error, 2 data error (bad input files,
 unreadable paths, malformed rows). Data errors name the offending file
 and, where known, the line.
+
+``argparse`` is imported by the first :func:`run_cli` call, not with
+this module, so a library user who never runs the CLI does not load it.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import math
@@ -184,6 +186,8 @@ def _cmd_window(ns) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser tree of this process, built on the first call, never at import."""
+    import argparse  # here, so that importing fieldstream does not load it
+
     parser = argparse.ArgumentParser(
         prog="fieldstream",
         description="Run record-stream data-prep pipelines over CSV/JSONL/file-tree inputs.",

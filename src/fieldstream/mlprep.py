@@ -18,8 +18,6 @@ import random
 import re
 import sys
 from collections import Counter
-from copy import copy
-from dataclasses import dataclass
 from enum import Enum
 
 from .cache import atomic_write_bytes
@@ -65,20 +63,36 @@ def _label_text(value) -> str:
     return value.value if isinstance(value, SplitLabel) else str(value)
 
 
-@dataclass(frozen=True)
 class Batch:
-    """One minibatch: stacked feature tensors plus a flat label tensor."""
+    """One minibatch: stacked feature tensors plus a flat label tensor; immutable, equal by value."""
 
-    features: dict[str, Tensor]
-    labels: Tensor
-    size: int
+    __slots__ = __match_args__ = ("features", "labels", "size")
 
-    def __post_init__(self):
-        if self.labels.shape != (self.size,):
-            raise ShapeMismatch(f"labels shape {self.labels.shape} != ({self.size},)")
-        for name, t in self.features.items():
-            if not t.shape or t.shape[0] != self.size:
-                raise ShapeMismatch(f"feature {name!r} shape {t.shape} has leading dim != {self.size}")
+    def __init__(self, features: dict[str, Tensor], labels: Tensor, size: int):
+        if labels.shape != (size,):
+            raise ShapeMismatch(f"labels shape {labels.shape} != ({size},)")
+        for name, t in features.items():
+            if not t.shape or t.shape[0] != size:
+                raise ShapeMismatch(f"feature {name!r} shape {t.shape} has leading dim != {size}")
+        for name, value in zip(Batch.__slots__, (features, labels, size)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Batch")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Batch")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.features, self.labels, self.size) == (other.features, other.labels, other.size)
+
+    def __repr__(self) -> str:
+        return f"Batch(features={self.features!r}, labels={self.labels!r}, size={self.size!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, as __setattr__ refuses
+        return Batch, (self.features, self.labels, self.size)
 
 
 def _normalize_fractions(split_value):
@@ -107,8 +121,9 @@ def _load_split_file(path) -> dict[str, SplitLabel]:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise BadSplitFile(f"{path}: malformed JSON: {e.msg} at {e.lineno}:{e.colno}") from None
+    except ValueError as e:  # a JSONDecodeError, an integer of more digits than int() accepts, or bad UTF-8
+        reason = f"{e.msg} at {e.lineno}:{e.colno}" if isinstance(e, json.JSONDecodeError) else e
+        raise BadSplitFile(f"{path}: malformed JSON: {reason}") from None
     if not isinstance(data, dict):
         raise BadSplitFile(f"{path}: expected a JSON object of key -> label")
     out = {}
@@ -343,7 +358,7 @@ def infshuffle(s, seed: int = 0) -> Datastream:
         while True:
             rng.shuffle(order)
             for i in order:
-                yield copy(records[i])
+                yield records[i].__copy__()
 
     return Datastream(gen())
 

@@ -166,10 +166,12 @@ def jsonstream(path) -> Datastream:
                 first = next((line for line in fh if line.strip()), "")
                 fh.seek(0)
                 if first.lstrip().startswith("["):
+                    text = fh.read()  # outside the try: a UnicodeDecodeError is a ValueError, for the outer handler
                     try:
-                        data = json.load(fh)
-                    except json.JSONDecodeError as e:
-                        raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+                        data = json.loads(text)
+                    except ValueError as e:  # as below, but json gives no position for a too-long integer
+                        where = f":{e.lineno}:{e.colno}: {e.msg}" if isinstance(e, json.JSONDecodeError) else f": {e}"
+                        raise ParseError(f"{path}{where}") from None
                     for i, obj in enumerate(data):
                         yield record_of(obj, f"{path}[{i}]")
                 else:
@@ -178,8 +180,9 @@ def jsonstream(path) -> Datastream:
                             continue
                         try:
                             obj = json.loads(line.rstrip("\r\n"))
-                        except json.JSONDecodeError as e:
-                            raise ParseError(f"{path}:{lineno}:{e.colno}: {e.msg}") from None
+                        except ValueError as e:  # a JSONDecodeError, or an integer of more digits than int() accepts
+                            where = f":{e.colno}: {e.msg}" if isinstance(e, json.JSONDecodeError) else f": {e}"
+                            raise ParseError(f"{path}:{lineno}{where}") from None
                         yield record_of(obj, f"{path}:{lineno}")
         except UnicodeDecodeError as e:
             raise _not_utf8(path, e) from None

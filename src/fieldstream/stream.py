@@ -19,7 +19,6 @@ as a stage; one that binds both ways raises TypeError.
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Iterable, Iterator, Mapping
 from functools import update_wrapper
 from itertools import islice
@@ -124,20 +123,29 @@ class _Pipeable:
 
     def __init__(self, func):
         self._func = func
-        self._sig = inspect.signature(func)
+        inner = func
+        while hasattr(inner, "__wrapped__"):  # a functools.wraps wrapper binds as the function it wraps
+            inner = inner.__wrapped__
+        code = inner.__code__
+        # 0x0C is CO_VARARGS | CO_VARKEYWORDS: *args or **kwargs
+        if code.co_flags & 0x0C or code.co_kwonlyargcount or code.co_posonlyargcount:
+            raise TypeError(f"pipeable {func.__name__}() must take positional-or-keyword parameters only, "
+                            "without *args, **kwargs, keyword-only or positional-only ones")
+        self._params = code.co_varnames[: code.co_argcount]
+        self._required = len(self._params) - len(inner.__defaults__ or ())
         update_wrapper(self, func)
 
     def _binds_fully(self, args, kwargs) -> bool:
-        try:
-            self._sig.bind(*args, **kwargs)
-        except TypeError:
+        """Whether ``func(*args, **kwargs)`` binds every parameter once and each required one."""
+        n = len(args)
+        if n > len(self._params) or not kwargs.keys() <= set(self._params[n:]):
             return False
-        return True
+        return all(name in kwargs for name in self._params[n : self._required])
 
     def __call__(self, *args, **kwargs):
         if args and _is_stream_like(args[0]) and self._binds_fully(args, kwargs):
             if not isinstance(args[0], (Datastream, Iterator)) and self._binds_fully((None,) + args, kwargs):
-                stream, first = list(self._sig.parameters)[:2]
+                stream, first = self._params[:2]
                 raise TypeError(f"ambiguous call to {self._func.__name__}(): the first argument binds as both "
                                 f"{stream!r} (run now) and {first!r} (a stage for |); pass iter(...) or use keywords")
             return self._func(*args, **kwargs)
@@ -151,7 +159,14 @@ class _Pipeable:
 
 
 def pipeable(func):
-    """Make a stream-first function usable after ``|`` with bound args."""
+    """Make a stream-first function usable after ``|`` with bound args.
+
+    ``func`` (or the function a ``functools.wraps`` wrapper wraps) may
+    have positional-or-keyword parameters only; one with ``*args``,
+    ``**kwargs``, keyword-only or positional-only parameters raises
+    TypeError here, since the call-shape dispatch reads the parameter
+    names and defaults alone.
+    """
     return _Pipeable(func)
 
 

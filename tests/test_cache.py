@@ -418,7 +418,9 @@ def test_cache_file_naming(tmp_path):
 def test_corrupt_cache_file_names_path(tmp_path):
     as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: v, tmp_path))
     victim = tmp_path / "sq" / "f0.json"
-    for blob in [b'{"v":1,"va', HUGE_TENSOR_BLOB]:
+    long_integer = b"1" * 5_000  # json.loads raises CPython's int-string digit limit as a plain ValueError
+    long_dim = b'{"v":2,"value":{"t":"tensor","shape":[' + long_integer + b'],"f64":""}}'
+    for blob in [b'{"v":1,"va', HUGE_TENSOR_BLOB, b'{"v":2,"value":' + long_integer + b"}", long_dim]:
         victim.write_bytes(blob)
         with pytest.raises(CacheCorrupt) as exc:
             as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: v, tmp_path))

@@ -164,6 +164,15 @@ def test_invalid_utf8_input_names_file_and_line(tmp_path, capsys, name, data, li
     assert not out.exists()
 
 
+def test_integer_past_digit_limit_names_file_and_line(tmp_path, capsys):
+    src = tmp_path / "big.jsonl"
+    write(src, '{"a": 1}\n{"a": ' + "1" * 5_000 + "}\n")
+    out = tmp_path / "o.csv"
+    assert run_cli(["convert", "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {src}:2: Exceeds the limit (4300")
+    assert not out.exists()
+
+
 def test_bad_shard_parameters_exit_2(tmp_path):
     src = tmp_path / "in.jsonl"
     write(src, '{"a":1}\n')

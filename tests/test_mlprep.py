@@ -1,7 +1,9 @@
 """Splitting, stratification, summaries, shuffling and batching."""
 
+import copy
 import io
 import json
+import pickle
 import random
 import re
 from collections import Counter
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from fieldstream import (
     BadPattern,
+    Batch,
     BadSplitFile,
     EmptyStream,
     EvalStrategy,
@@ -211,12 +214,18 @@ def test_derived_stages_match_oracles(names, seed):
     assert [r.cell("v").eval_count for r in out] == [1] * len(vals)
 
 
-@pytest.mark.parametrize("content", ["{not json", json.dumps(["f0000"]), json.dumps({"f0000": "validation"})])
+@pytest.mark.parametrize("content", [
+    "{not json",
+    json.dumps(["f0000"]),
+    json.dumps({"f0000": "validation"}),
+    pytest.param('{"f0000": ' + "1" * 5_000 + "}", id="integer-past-digit-limit"),
+    pytest.param(b'{"f\xff": "train"}', id="not-utf-8"),
+])
 def test_bad_split_file_fails_when_composed(tmp_path, content):
     bad = tmp_path / "split.json"
-    bad.write_text(content)
+    bad.write_bytes(content.encode() if isinstance(content, str) else content)
     source = CountingSource(named(3))
-    with pytest.raises(BadSplitFile):
+    with pytest.raises(BadSplitFile, match=re.escape(f"{bad}: ")):
         source.stream() | datasplit(0.5, seed=1, split_file=bad)
     assert source.pulls == 0
 
@@ -490,6 +499,26 @@ def test_as_batch_scalar_features():
     rows = recs([{"v": i, "class_id": 0} for i in range(5)])
     batches = as_list(as_batch(ds(rows), "v", "class_id", 2))
     assert batches[0].features["v"] == Tensor((2,), [0.0, 1.0])
+
+
+def test_batch_is_an_immutable_value():
+    features, labels = {"image": Tensor((2, 1), [1.0, 2.0])}, Tensor((2,), [0.0, 1.0])
+    b = Batch(features=features, labels=labels, size=2)
+    assert b == Batch(features, labels, 2) and (b.features, b.labels, b.size) == (features, labels, 2)
+    assert b != Batch(features, Tensor((2,), [1.0, 0.0]), 2) and b != (features, labels, 2)
+    assert repr(b) == f"Batch(features={features!r}, labels={labels!r}, size=2)"
+    for name in ("features", "labels", "size", "other"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, None)
+        with pytest.raises(AttributeError):
+            delattr(b, name)
+    assert pickle.loads(pickle.dumps(b)) == b == copy.copy(b) == copy.deepcopy(b)
+    with pytest.raises(ShapeMismatch, match=r"labels shape \(2,\) != \(3,\)"):
+        Batch(features, labels, 3)
+    with pytest.raises(ShapeMismatch, match="feature 'image' shape \\(2, 1\\) has leading dim != 1"):
+        Batch(features, Tensor((1,), [0.0]), size=1)
+    with pytest.raises(ShapeMismatch, match="feature 's' shape \\(\\) has leading dim != 1"):
+        Batch({"s": Tensor((), [1.0])}, Tensor((1,), [0.0]), 1)
 
 
 def test_as_batch_over_infinite_shuffle():

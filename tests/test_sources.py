@@ -249,6 +249,21 @@ def test_jsonstream_array_parse_error_counts_from_file_start(tmp_path):
     assert str(exc.value) == f"{p}:4:6: Expecting value"
 
 
+LONG_INTEGER = "1" * 5_000  # past CPython's default int-string digit limit, which json.loads raises as ValueError
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("t.jsonl", '{"a": 1}\n\n{"a": ' + LONG_INTEGER + "}\n", ":3: "),
+    ("t.json", '[{"a": 1},\n{"a": ' + LONG_INTEGER + "}]", ": "),
+], ids=["jsonl", "array"])
+def test_jsonstream_integer_past_digit_limit_is_a_parse_error(tmp_path, name, text, where):
+    p = tmp_path / name
+    touch(p, text)
+    with pytest.raises(ParseError) as exc:
+        as_list(jsonstream(p))
+    assert str(exc.value).startswith(f"{p}{where}Exceeds the limit (4300")
+
+
 def test_jsonstream_breaks_lines_only_at_newline(tmp_path):
     p = tmp_path / "t.jsonl"
     p.write_bytes('{"a": "x\u2028y\x85z"}\r\n{"a":\r1}\n'.encode("utf-8"))
@@ -288,6 +303,7 @@ INVALID_UTF8 = {
     "jsonl-past-first-chunk": ("t.jsonl", b'{"a": 1}\n' * 5_000 + b'{"a": "\xe2\x82"}\n', 5_001, "invalid continuation byte"),
     "jsonl-cut-at-end": ("t.jsonl", b'{"a": 1}\n\n{"a": "\xe2\x82', 3, "unexpected end of data"),
     "array": ("t.json", b'[{"a": 1},\n\n {"a": "\xed\xa0\x80"}]\n', 3, "invalid continuation byte"),
+    "array-past-first-chunk": ("t.json", b"[" + b'{"a": 1},\n' * 5_000 + b'{"a": "\xe2\x82"}]\n', 5_001, "invalid continuation byte"),
 }
 
 

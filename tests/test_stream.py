@@ -1,6 +1,9 @@
 """Stream core: laziness, single use, lifting, projecting, sinks."""
 
+import functools
 import importlib
+import inspect
+import itertools
 import pkgutil
 
 import pytest
@@ -24,6 +27,7 @@ from fieldstream import (
     fold,
     make_train_test_split,
     pipe,
+    pipeable,
     scan,
     select_field,
     take,
@@ -383,3 +387,67 @@ def test_ambiguous_call_names_both_readings():
         as_batch(["x", "z"], "y", 2)
     assert isinstance(datasplit(iter(_RECS), 0.5), Datastream)
     assert isinstance(datasplit(Datastream(_RECS), 0.5), Datastream)
+
+
+def _dispatch(stage, args, kwargs) -> str:
+    try:
+        result = stage(*args, **kwargs)
+    except TypeError as e:
+        if "ambiguous call" not in str(e):
+            raise
+        return AMBIGUOUS
+    return STAGE if isinstance(result, _BoundStage) else NOW
+
+
+@pytest.mark.parametrize(
+    "name, args, kwargs, outcome", LIST_FIRST_CALLS,
+    ids=[f"{c[0]}-{c[3]}-{i}" for i, c in enumerate(LIST_FIRST_CALLS)],
+)
+def test_wraps_wrapper_dispatches_as_the_function_it_wraps(name, args, kwargs, outcome, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    func = getattr(fieldstream, name).__wrapped__
+
+    @functools.wraps(func)
+    def wrapper(*a, **kw):
+        return func(*a, **kw)
+
+    assert _dispatch(pipeable(wrapper), args, kwargs) == outcome
+
+
+_EXPORTED_PIPEABLES = sorted(n for n in fieldstream.__all__ if isinstance(getattr(fieldstream, n), _Pipeable))
+
+
+@pytest.mark.parametrize("name", _EXPORTED_PIPEABLES)
+def test_binds_fully_agrees_with_signature_bind(name):
+    stage = getattr(fieldstream, name)
+    sig = inspect.signature(stage.__wrapped__)
+    names = [*sig.parameters, "unknown"]
+    for n in range(len(names) + 1):
+        for k in range(len(names) + 1):
+            for keywords in itertools.combinations(names, k):
+                args, kwargs = (None,) * n, dict.fromkeys(keywords)
+                try:
+                    sig.bind(*args, **kwargs)
+                    expected = True
+                except TypeError:
+                    expected = False
+                assert stage._binds_fully(args, kwargs) == expected, (n, keywords)
+
+
+def _varargs(s, *rest): ...
+def _varkw(s, **options): ...
+def _kwonly(s, *, n=1): ...
+def _posonly(s, /, n=1): ...
+
+
+@pytest.mark.parametrize("func", [_varargs, _varkw, _kwonly, _posonly])
+def test_pipeable_rejects_parameters_it_cannot_bind_by_name(func):
+    with pytest.raises(TypeError, match=f"pipeable {func.__name__}\\(\\) must take positional-or-keyword parameters"):
+        pipeable(func)
+
+    @functools.wraps(func)
+    def wrapper(*a, **kw):
+        return func(*a, **kw)
+
+    with pytest.raises(TypeError, match=func.__name__):
+        pipeable(wrapper)
