@@ -34,7 +34,7 @@ from contextlib import contextmanager
 
 from .errors import CacheCorrupt
 from .record import Value, check_name
-from .stream import Datastream, claim_iter, pipeable, reader
+from .stream import Datastream, check_callable, claim_iter, pipeable, reader
 from .tensor import Tensor, check_shape
 
 __all__ = ["apply_cached", "encode_value", "decode_value", "to_jsonable", "from_jsonable"]
@@ -60,7 +60,7 @@ def _data_obj(t: Tensor) -> dict:
 
 def _f64_obj(t: Tensor) -> dict:
     """The cache format 2 layout of a tensor: base64 of its data as little-endian float64."""
-    raw = struct.Struct(f"<{t.size}d").pack(*t.data)
+    raw = struct.Struct(f"<{t.size}d").pack(*t.data)  # struct.pack(fmt, *data) would copy the data tuple twice
     return {"t": "tensor", "shape": list(t.shape), "f64": base64.b64encode(raw).decode("ascii")}
 
 
@@ -153,13 +153,14 @@ def _f64_tensor(shape: tuple[int, ...], raw: bytes) -> Tensor:
     n = math.prod(shape)
     if len(raw) != 8 * n:
         raise CacheCorrupt(f"tensor f64 holds {len(raw)} bytes, shape {shape} needs {8 * n}")
-    return Tensor._trusted(shape, struct.Struct(f"<{n}d").unpack(raw))
+    return Tensor._trusted(shape, struct.unpack(f"<{n}d", raw))
 
 
 # What encode_value writes for a top-level tensor, around its dimensions and its base64 text.
 _TENSOR_HEAD = b'{"v":2,"value":{"t":"tensor","shape":['
 _TENSOR_MID = b'],"f64":"'
 _TENSOR_TAIL = b'"}}'
+_HEAD_LEN, _MID_LEN, _TAIL_LEN = len(_TENSOR_HEAD), len(_TENSOR_MID), len(_TENSOR_TAIL)
 
 
 def _top_level_tensor(blob: bytes) -> Tensor | None:
@@ -172,15 +173,15 @@ def _top_level_tensor(blob: bytes) -> Tensor | None:
     """
     if not (blob.startswith(_TENSOR_HEAD) and blob.endswith(_TENSOR_TAIL)):
         return None
-    mid = blob.find(_TENSOR_MID, len(_TENSOR_HEAD), len(blob) - len(_TENSOR_TAIL))  # no overlap with the tail
+    mid = blob.find(_TENSOR_MID, _HEAD_LEN, len(blob) - _TAIL_LEN)  # no overlap with the tail
     if mid < 0:
         return None
-    dims = blob[len(_TENSOR_HEAD) : mid].split(b",") if mid > len(_TENSOR_HEAD) else ()
+    dims = blob[_HEAD_LEN:mid].split(b",") if mid > _HEAD_LEN else ()
     for d in dims:
         if not (d.isdigit() and (d[0] != 0x30 or len(d) == 1)):  # no sign, no leading zero
             return None
     try:
-        raw = base64.b64decode(blob[mid + len(_TENSOR_MID) : -len(_TENSOR_TAIL)], validate=True)
+        raw = base64.b64decode(blob[mid + _MID_LEN : -_TAIL_LEN], validate=True)
         return _f64_tensor(tuple(map(int, dims)), raw)
     except (ValueError, CacheCorrupt):
         return None
@@ -258,6 +259,9 @@ def atomic_write_bytes(path, data: bytes) -> None:
         fh.write(data)
 
 
+_READ_SIZE = 1 << 16
+
+
 def _read_file(path: str) -> bytes | None:
     """The bytes of the file at ``path``, read without a buffered file object; None if it does not exist."""
     try:
@@ -265,10 +269,13 @@ def _read_file(path: str) -> bytes | None:
     except FileNotFoundError:
         return None
     try:
-        chunks = []
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-        return b"".join(chunks)
+        blob = os.read(fd, _READ_SIZE)
+        if blob and (chunk := os.read(fd, _READ_SIZE)):  # a short read is not the end: read on until b""
+            chunks = [blob, chunk]
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+            blob = b"".join(chunks)
+        return blob
     except OSError as e:  # os.read gives no file name: a directory is IsADirectoryError here
         raise type(e)(e.errno, e.strerror, path) from None
     finally:
@@ -286,10 +293,11 @@ def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") ->
     """
     check_name(dst)
     check_name(key_field)
+    check_callable(f, "cache function")
     read = reader(src)
-    cache_dir = os.fspath(cache_dir)
-    subdir = os.path.join(cache_dir, dst)
+    subdir = os.path.join(os.fspath(cache_dir), dst)
     os.makedirs(subdir, exist_ok=True)
+    prefix = os.path.join(subdir, "")  # a sanitized key holds no separator, so prefix + key joins as os.path.join
     it = claim_iter(s)
 
     def gen():
@@ -297,7 +305,7 @@ def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") ->
             key = r.get_field(key_field)
             if not isinstance(key, str):
                 raise TypeError(f"cache key field {key_field!r} must be text, got {type(key).__name__}")
-            path = os.path.join(subdir, sanitize_key(key) + ".json")
+            path = prefix + sanitize_key(key) + ".json"
             blob = _read_file(path)
             if blob is None:
                 value = f(read(r))

@@ -14,7 +14,9 @@ from itertools import islice
 
 from .errors import BadShard, BatchArity
 from .record import EvalStrategy, FieldCell, Value, check_name
-from .stream import Datastream, check_count, chunks, claim_iter, ensure_stream, field_list, pipeable, reader
+from .stream import (
+    Datastream, check_callable, check_count, chunks, claim_iter, ensure_stream, field_list, pipeable, reader
+)
 from .tensor import Tensor, _pinned_tensor
 
 __all__ = [
@@ -43,6 +45,7 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
     itself.
     """
     check_name(dst)
+    check_callable(f, "apply function")
     read = reader(src)
     if strategy is not EvalStrategy.EAGER:
         template = FieldCell(strategy, thunk=lambda record: f(read(record)))
@@ -65,6 +68,7 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
 def filter_field(s, src: str, pred) -> Datastream:
     """Keep records whose forced ``src`` value satisfies the predicate."""
     check_name(src)
+    check_callable(pred, "filter predicate")
     it = claim_iter(s)
 
     def gen():
@@ -119,6 +123,7 @@ _NO_PREV = object()
 @pipeable
 def scan(s, src: str, dst: str, init: Value, f) -> Datastream:
     """Running left-fold: element i gains ``dst`` = fold of values 0..i."""
+    check_callable(f, "scan function")
     acc = init
 
     def step(v: Value) -> Value:
@@ -142,6 +147,7 @@ def apply_batch(s, src: str, dst: str, f, batch_size: int) -> Datastream:
     check_count(batch_size, "batch_size")
     check_name(src)
     check_name(dst)
+    check_callable(f, "batch function")
     it = claim_iter(s)
 
     def gen():

@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 from .combinators import apply, delfield
 from .record import Record, Value, check_name
-from .stream import Datastream, as_field, as_list, claim_iter, pipeable
+from .stream import Datastream, as_field, as_list, check_callable, claim_iter, pipeable
 
 __all__ = [
     "bind_field",
@@ -39,6 +39,7 @@ __all__ = [
 def bind_field(s, u: str, f) -> Datastream:
     """Merge ``f(record[u])`` into each record; ``f``'s fields win on collision."""
     check_name(u)
+    check_callable(f, "bind function")
     it = claim_iter(s)
 
     def gen():

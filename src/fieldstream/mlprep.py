@@ -292,6 +292,8 @@ def summary(s, class_field: str | None = None, sink=None) -> Datastream:
     """
     if class_field is not None:
         check_name(class_field)
+    if sink is not None and not callable(getattr(sink, "write", None)):
+        raise TypeError(f"summary sink must be None or have a callable write, got {type(sink).__name__}")
     it = claim_iter(s)
 
     def gen():
@@ -347,13 +349,13 @@ def infshuffle(s, seed: int = 0) -> Datastream:
     the next epoch, memoized fields compute once, and on-demand fields
     recompute once per emission (fresh augmentation every pass).
     """
+    rng = random.Random(seed)  # built here, so a bad seed fails before anything is pulled
     it = claim_iter(s)
 
     def gen():
         records = list(it)
         if not records:
             raise EmptyStream("cannot shuffle an empty stream forever")
-        rng = random.Random(seed)
         order = list(range(len(records)))
         while True:
             rng.shuffle(order)

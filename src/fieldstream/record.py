@@ -1,8 +1,9 @@
 """Multi-field records with per-field evaluation strategies.
 
 A :class:`Record` is an ordered collection of named fields. A source
-adopts each parsed row whole (``Record._adopt``); every other store is
-:meth:`Record.set_field`. Each field carries one of three strategies:
+adopts each parsed row whole (``Record._adopt``), as ``as_field`` does
+each plain value; every other store is :meth:`Record.set_field`. Each
+field carries one of three strategies:
 
 * ``EAGER``: the value was computed up front and is stored bare.
 * ``LAZY_MEMOIZED``: a :class:`FieldCell` thunk runs on the first
@@ -30,15 +31,16 @@ locking is performed.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from enum import Enum
-from typing import Any, Callable, Mapping
 
 from .errors import MissingField
 
 __all__ = ["EvalStrategy", "FieldCell", "Record"]
 
-# A field value: None, bool, int, float, str, Tensor, list or dict.
-Value = Any
+# A field value: None, bool, int, float, str, Tensor, list or dict. A plain alias, not
+# typing.Any: importing typing costs every CLI call, and annotations here are strings.
+Value = object
 Thunk = Callable[["Record"], Value]
 
 _UNSET = object()
@@ -122,7 +124,8 @@ class Record:
     ``Record(x=1, y=2)`` builds eager fields in keyword order. New
     fields append; replacing a field keeps its position. Field names
     are unique non-empty strings. A source adopts a row whole once its
-    names are checked; every other store is :meth:`set_field`.
+    names are checked, and ``as_field`` a plain value; every other store
+    is :meth:`set_field`.
     """
 
     __slots__ = ("_cells",)

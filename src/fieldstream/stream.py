@@ -24,7 +24,7 @@ from functools import update_wrapper
 from itertools import islice
 
 from .errors import SingleUseViolation
-from .record import Record, Value, check_name
+from .record import FieldCell, Record, Value, check_name
 
 __all__ = [
     "Datastream",
@@ -170,6 +170,12 @@ def pipeable(func):
     return _Pipeable(func)
 
 
+def check_callable(value, what: str) -> None:
+    """Raise TypeError naming ``what`` unless ``value`` is callable; stages call it before claiming upstream."""
+    if not callable(value):
+        raise TypeError(f"{what} must be callable, got {type(value).__name__}")
+
+
 def check_count(value, what: str, minimum: int = 1) -> None:
     """Raise ValueError naming ``what`` unless ``value`` is an int of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
@@ -205,8 +211,7 @@ def chunks(it: Iterator, n: int) -> Iterator[list]:
 @pipeable
 def pipe(s, stage) -> Datastream:
     """Apply one stream transformer; the explicit spelling of ``s | stage``."""
-    if not callable(stage):
-        raise TypeError(f"stage must be callable, got {type(stage).__name__}")
+    check_callable(stage, "stage")
     return _run_stage(ensure_stream(s), stage)
 
 
@@ -215,7 +220,8 @@ def as_field(s, name: str) -> Datastream:
     """Lift a stream of plain values into single-field eager records."""
     check_name(name)
     it = claim_iter(s)
-    return Datastream(Record().set_field(name, v) for v in it)
+    # a cell goes through set_field, which unwraps an EAGER one; any other value is stored bare, as set_field would
+    return Datastream(Record().set_field(name, v) if type(v) is FieldCell else Record._adopt({name: v}) for v in it)
 
 
 @pipeable
@@ -248,6 +254,7 @@ def take(s, n: int) -> Datastream:
 def fold(s, field: str, init: Value, f) -> Value:
     """Left-fold the forced values of one field; ``init`` on an empty stream."""
     check_name(field)
+    check_callable(f, "fold function")
     acc = init
     for r in claim_iter(s):
         acc = f(acc, r.get_field(field))

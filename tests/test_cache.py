@@ -24,7 +24,7 @@ from fieldstream import (
     get_datastream,
     to_jsonable,
 )
-from fieldstream.cache import _COMPACT_ENCODER, _ENCODER, _tensor_obj, sanitize_key
+from fieldstream.cache import _COMPACT_ENCODER, _ENCODER, _read_file, _tensor_obj, sanitize_key
 
 from helpers import ds, random_value, recs, scalar_values, strict_equal, values
 
@@ -468,6 +468,38 @@ def test_tensor_file_of_many_read_chunks_comes_back_warm(tmp_path):
     assert calls == [0]
     assert os.path.getsize(tmp_path / "feat" / "f0.json") > 3 * 65536
     assert strict_equal(cold, warm) and strict_equal(warm, Tensor((len(data),), data))
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 3 * 65_536 + 5])
+@pytest.mark.parametrize("most", [None, 1_000], ids=["full-reads", "short-reads"])
+def test_read_file_reads_until_end_of_file(tmp_path, monkeypatch, size, most):
+    """A file of any size comes back whole; a short read is not taken as the end of the file."""
+    blob = random.Random(size).randbytes(size)
+    (tmp_path / "f").write_bytes(blob)
+    if most is not None:
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, most)))
+    assert _read_file(str(tmp_path / "f")) == blob
+    assert _read_file(str(tmp_path / "missing")) is None
+
+
+@pytest.mark.parametrize("form", ["trailing-separator", "no-separator", "pathlike"])
+def test_hit_path_is_the_joined_path(tmp_path, form):
+    """A hit reads os.path.join(cache_dir, dst, sanitize_key(key) + ".json"), whatever form cache_dir takes."""
+    cache_dir = {"trailing-separator": f"{tmp_path}{os.sep}", "no-separator": str(tmp_path), "pathlike": tmp_path}[form]
+    key = "a/b c.mp4"
+    path = os.path.join(os.path.join(os.fspath(cache_dir), "feat"), sanitize_key(key) + ".json")
+    rows = lambda: ds(recs([{"filename": key, "x": 0}]))
+    as_list(apply_cached(rows(), "x", "feat", lambda v: 41, cache_dir))
+    assert os.listdir(tmp_path / "feat") == [os.path.basename(path)]
+    with open(path, "wb") as fh:
+        fh.write(encode_value(42))
+    assert as_list(apply_cached(rows(), "x", "feat", lambda v: 1 / 0, cache_dir))[0].get_field("feat") == 42
+    with open(path, "wb") as fh:
+        fh.write(b"{")
+    with pytest.raises(CacheCorrupt) as exc:
+        as_list(apply_cached(rows(), "x", "feat", lambda v: 1 / 0, cache_dir))
+    assert str(exc.value).startswith(f"{path}: malformed JSON")
 
 
 def test_cache_requires_text_key(tmp_path):

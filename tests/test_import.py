@@ -9,8 +9,9 @@ import fieldstream
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fieldstream.__file__)))
 
 # Stdlib modules the package once loaded for almost nothing: inspect (with ast, dis and
-# tokenize) for Signature.bind, dataclasses and copy for Batch and infshuffle, argparse for the CLI.
-NOT_AT_IMPORT = ["inspect", "dataclasses", "copy", "argparse"]
+# tokenize) for Signature.bind, dataclasses and copy for Batch and infshuffle, argparse for the CLI,
+# typing for three annotation aliases in record.py.
+NOT_AT_IMPORT = ["inspect", "dataclasses", "copy", "argparse", "typing"]
 
 PROBE = """
 import sys

@@ -254,8 +254,11 @@ LONG_INTEGER = "1" * 5_000  # past CPython's default int-string digit limit, whi
 
 @pytest.mark.parametrize("name, text, where", [
     ("t.jsonl", '{"a": 1}\n\n{"a": ' + LONG_INTEGER + "}\n", ":3: "),
-    ("t.json", '[{"a": 1},\n{"a": ' + LONG_INTEGER + "}]", ": "),
-], ids=["jsonl", "array"])
+    ("t.json", '[{"a": 1},\n{"a": ' + LONG_INTEGER + "}]", ":2:7: "),
+    # digits in a string, an escaped quote, and a float are not the literal json rejects
+    ("s.json", '[{"s": "\\"' + LONG_INTEGER + '", "f": ' + LONG_INTEGER + 'e1},\n'
+               ' {"a": -' + LONG_INTEGER + "}]", ":2:8: "),
+], ids=["jsonl", "array", "array-skips-strings-and-floats"])
 def test_jsonstream_integer_past_digit_limit_is_a_parse_error(tmp_path, name, text, where):
     p = tmp_path / name
     touch(p, text)

@@ -4,6 +4,7 @@ import functools
 import importlib
 import inspect
 import itertools
+import os
 import pkgutil
 
 import pytest
@@ -19,17 +20,24 @@ from fieldstream import (
     Record,
     SingleUseViolation,
     SplitLabel,
+    apply,
+    apply_batch,
+    apply_cached,
     as_batch,
     as_field,
     as_list,
+    bind_field,
     count,
     datasplit,
+    filter_field,
     fold,
+    infshuffle,
     make_train_test_split,
     pipe,
     pipeable,
     scan,
     select_field,
+    summary,
     take,
 )
 from fieldstream.stream import _BoundStage, _Pipeable
@@ -117,6 +125,14 @@ def test_as_field_filename_example():
 def test_as_field_rejects_bad_name():
     with pytest.raises(ValueError):
         as_field([1], "")
+
+
+@pytest.mark.parametrize("value", [FieldCell.eager([1]), None, [1, 2], FieldCell.lazy_memoized(lambda r: 1)],
+                         ids=["eager-cell", "none", "list", "lazy-cell"])
+def test_as_field_stores_what_set_field_stores(value):
+    (got,) = as_list(as_field([value], "x"))
+    want = Record().set_field("x", value)
+    assert list(got._cells) == ["x"] and got._cells["x"] is want._cells["x"]
 
 
 # select_field -----------------------------------------------------------------
@@ -248,6 +264,35 @@ def test_composition_pulls_nothing():
     assert source.pulls == 0
     assert len(as_list(stream)) == 3
     assert source.pulls == 3
+
+
+# Each stage built with one bad argument: (stage, arguments after the stream, keyword arguments).
+BAD_ARGUMENTS = [
+    (apply, ("x", "y", 3), {}),
+    (apply, ("x", "y", 3, EvalStrategy.LAZY_MEMOIZED), {}),
+    (apply, ("x", "y", 3, EvalStrategy.ON_DEMAND), {}),
+    (filter_field, ("x", 3), {}),
+    (scan, ("x", "acc", 0, 3), {}),
+    (apply_batch, ("x", "y", 3, 2), {}),
+    (bind_field, ("x", 3), {}),
+    (apply_cached, ("x", "y", 3, os.devnull), {}),  # built past the check, it would fail to make its directory
+    (fold, ("x", 0, 3), {}),
+    (infshuffle, (), {"seed": [1]}),
+    (summary, (), {"sink": 3}),
+]
+
+
+@pytest.mark.parametrize("form", ["direct", "pipe"])
+@pytest.mark.parametrize("stage, args, kwargs", BAD_ARGUMENTS,
+                         ids=[f"{stage.__name__}-{i}" for i, (stage, _, _) in enumerate(BAD_ARGUMENTS)])
+def test_bad_argument_fails_when_the_stage_is_built(stage, args, kwargs, form):
+    source = CountingSource(recs([{"x": i} for i in range(3)]))
+    with pytest.raises(TypeError):
+        if form == "direct":
+            stage(source.stream(), *args, **kwargs)
+        else:
+            source.stream() | stage(*args, **kwargs)
+    assert source.pulls == 0
 
 
 def test_single_use_on_reiteration():
