@@ -29,7 +29,9 @@ import base64
 import json
 import math
 import os
+import re
 import struct
+import sys
 from contextlib import contextmanager
 
 from .errors import CacheCorrupt
@@ -37,7 +39,7 @@ from .record import Value, check_name
 from .stream import Datastream, check_callable, claim_iter, pipeable, reader
 from .tensor import Tensor, check_shape
 
-__all__ = ["apply_cached", "encode_value", "decode_value", "to_jsonable", "from_jsonable"]
+__all__ = ["apply_cached", "encode_value", "decode_value"]
 
 _SAFE_BYTES = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-")
 # byte value -> itself if safe, else its %XX escape; indexed by the latin-1 code point of each UTF-8 byte
@@ -206,6 +208,29 @@ def encode_value(value: Value) -> bytes:
     return _COMPACT_ENCODER.encode(payload).encode("utf-8")
 
 
+# A JSON string, or a number with its integer digits, fraction and exponent as groups 1-3.
+_STRING_OR_NUMBER = r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?'
+
+
+def _long_int_at(text: str) -> int:
+    """Offset of the first integer literal outside a string with more digits than ``int`` accepts.
+
+    ``json`` reads a number with a fraction or an exponent as a float, which has no limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    return next(m.start() for m in re.finditer(_STRING_OR_NUMBER, text)
+                if m[1] and len(m[1]) > limit and not (m[2] or m[3]))
+
+
+def json_error(e: ValueError, text: str) -> json.JSONDecodeError:
+    """The ValueError ``json.loads(text)`` raised, as a JSONDecodeError with a position.
+
+    ``json`` raises an integer of more digits than ``int`` accepts as a plain ValueError with
+    no position, so only this error path scans ``text`` for that literal.
+    """
+    return e if isinstance(e, json.JSONDecodeError) else json.JSONDecodeError(str(e), text, _long_int_at(text))
+
+
 def decode_value(blob: bytes | str) -> Value:
     """Parse cache format 1 or 2; any malformation raises CacheCorrupt."""
     if isinstance(blob, bytes):
@@ -217,9 +242,9 @@ def decode_value(blob: bytes | str) -> Value:
             raise CacheCorrupt(f"not UTF-8: {e}") from None
     try:
         payload = json.loads(blob)
-    except ValueError as e:  # a JSONDecodeError, or an integer of more digits than int() accepts
-        reason = f"{e.msg} at {e.lineno}:{e.colno}" if isinstance(e, json.JSONDecodeError) else e
-        raise CacheCorrupt(f"malformed JSON: {reason}") from None
+    except ValueError as e:
+        e = json_error(e, blob)
+        raise CacheCorrupt(f"malformed JSON: {e.msg} at {e.lineno}:{e.colno}") from None
     if not isinstance(payload, dict) or "v" not in payload or "value" not in payload:
         raise CacheCorrupt("missing version envelope")
     if payload["v"] not in (1, 2):

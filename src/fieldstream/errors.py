@@ -2,14 +2,12 @@
 
 Everything raised on purpose by this package derives from
 :class:`FieldstreamError`, so a pipeline boundary can catch one type.
-File system failures are not wrapped: they surface as the host
-``OSError``, aliased here as ``IoError`` for readability.
+File system failures are not wrapped: they surface as ``OSError``.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "IoError",
     "FieldstreamError",
     "MissingField",
     "SingleUseViolation",
@@ -28,9 +26,6 @@ __all__ = [
     "NonNumericLabel",
     "CacheCorrupt",
 ]
-
-IoError = OSError
-
 
 class FieldstreamError(Exception):
     """Base class for every error this package raises deliberately."""

@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 from enum import Enum
 
-from .cache import atomic_write_bytes
+from .cache import atomic_write_bytes, json_error
 from .combinators import apply
 from .errors import (
     BadPattern,
@@ -120,10 +120,14 @@ def _draw_label(u: float, valid: float, test: float) -> SplitLabel:
 def _load_split_file(path) -> dict[str, SplitLabel]:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except ValueError as e:  # a JSONDecodeError, an integer of more digits than int() accepts, or bad UTF-8
-        reason = f"{e.msg} at {e.lineno}:{e.colno}" if isinstance(e, json.JSONDecodeError) else e
-        raise BadSplitFile(f"{path}: malformed JSON: {reason}") from None
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise BadSplitFile(f"{path}: malformed JSON: {e}") from None
+    try:
+        data = json.loads(text)
+    except ValueError as e:
+        e = json_error(e, text)
+        raise BadSplitFile(f"{path}: malformed JSON: {e.msg} at {e.lineno}:{e.colno}") from None
     if not isinstance(data, dict):
         raise BadSplitFile(f"{path}: expected a JSON object of key -> label")
     out = {}

@@ -79,18 +79,6 @@ class FieldCell:
         self._stored = stored
         self._thunk = thunk
 
-    @classmethod
-    def eager(cls, value: Value) -> "FieldCell":
-        return cls(EvalStrategy.EAGER, stored=value)
-
-    @classmethod
-    def lazy_memoized(cls, thunk: Thunk) -> "FieldCell":
-        return cls(EvalStrategy.LAZY_MEMOIZED, thunk=thunk)
-
-    @classmethod
-    def on_demand(cls, thunk: Thunk) -> "FieldCell":
-        return cls(EvalStrategy.ON_DEMAND, thunk=thunk)
-
     def get(self, record: "Record") -> Value:
         """Produce the value, forcing the thunk as the strategy dictates."""
         if self._stored is not _UNSET:
@@ -113,7 +101,7 @@ class FieldCell:
 
     def __repr__(self) -> str:
         if self.strategy is EvalStrategy.EAGER:
-            return f"FieldCell.eager({self._stored!r})"
+            return f"FieldCell(eager, {self._stored!r})"
         forced = "" if self._stored is _UNSET else " forced"
         return f"FieldCell({self.strategy.value}{forced})"
 
@@ -182,7 +170,7 @@ class Record:
         value = self._cells.get(name, _UNSET)
         if value is _UNSET:
             raise MissingField(name)
-        return value if type(value) is FieldCell else FieldCell.eager(value)
+        return value if type(value) is FieldCell else FieldCell(EvalStrategy.EAGER, stored=value)
 
     def has_field(self, name: str) -> bool:
         return name in self._cells

@@ -15,10 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-import re
-import sys
 from collections.abc import Mapping
 
+from .cache import json_error
 from .errors import NotAnObject, ParseError, RaggedRow, UnknownClass
 from .record import Record, check_name
 from .stream import Datastream
@@ -112,21 +111,6 @@ def _not_utf8(path: str, e: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}:{lineno}: not valid UTF-8: {e.reason}")
 
 
-# A JSON string, or a number with its integer digits, fraction and exponent as groups 1-3.
-_STRING_OR_NUMBER = r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?'
-
-
-def _long_int_at(text: str) -> int:
-    """Offset of the first integer literal outside a string with more digits than ``int`` accepts.
-
-    ``json.loads`` raises that limit as a plain ValueError with no position; only this error
-    path scans. ``json`` reads a number with a fraction or an exponent as a float, which has no limit.
-    """
-    limit = sys.get_int_max_str_digits()
-    return next(m.start() for m in re.finditer(_STRING_OR_NUMBER, text)
-                if m[1] and len(m[1]) > limit and not (m[2] or m[3]))
-
-
 def csvsource(path) -> Datastream:
     """Stream of records from a CSV file; the header names the fields.
 
@@ -186,9 +170,8 @@ def jsonstream(path) -> Datastream:
                     text = fh.read()  # outside the try: a UnicodeDecodeError is a ValueError, for the outer handler
                     try:
                         data = json.loads(text)
-                    except ValueError as e:  # as below, but json gives no position for a too-long integer
-                        if not isinstance(e, json.JSONDecodeError):
-                            e = json.JSONDecodeError(str(e), text, _long_int_at(text))
+                    except ValueError as e:
+                        e = json_error(e, text)
                         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
                     for i, obj in enumerate(data):
                         yield record_of(obj, f"{path}[{i}]")
@@ -198,9 +181,9 @@ def jsonstream(path) -> Datastream:
                             continue
                         try:
                             obj = json.loads(line.rstrip("\r\n"))
-                        except ValueError as e:  # a JSONDecodeError, or an integer of more digits than int() accepts
-                            where = f":{e.colno}: {e.msg}" if isinstance(e, json.JSONDecodeError) else f": {e}"
-                            raise ParseError(f"{path}:{lineno}{where}") from None
+                        except ValueError as e:
+                            e = json_error(e, line)
+                            raise ParseError(f"{path}:{lineno}:{e.colno}: {e.msg}") from None
                         yield record_of(obj, f"{path}:{lineno}")
         except UnicodeDecodeError as e:
             raise _not_utf8(path, e) from None

@@ -97,21 +97,18 @@ def claim_iter(s) -> Iterator:
 class _BoundStage:
     """A combinator with its non-stream arguments already bound."""
 
-    __slots__ = ("_func", "_args", "_kwargs")
+    __slots__ = ("_pipeable", "_args", "_kwargs")
 
-    def __init__(self, func, args, kwargs):
-        self._func = func
-        self._args = args
-        self._kwargs = kwargs
+    def __init__(self, pipeable, args, kwargs):
+        self._pipeable, self._args, self._kwargs = pipeable, args, kwargs
 
     def __call__(self, upstream):
-        return self._func(upstream, *self._args, **self._kwargs)
+        return self._pipeable._build(upstream, self._args, self._kwargs)
 
-    def __ror__(self, upstream):
-        return self(upstream)
+    __ror__ = __call__
 
     def __repr__(self) -> str:
-        return f"<stage {self._func.__name__}>"
+        return f"<stage {self._pipeable.__name__}>"
 
 
 class _Pipeable:
@@ -122,7 +119,6 @@ class _Pipeable:
     """
 
     def __init__(self, func):
-        self._func = func
         inner = func
         while hasattr(inner, "__wrapped__"):  # a functools.wraps wrapper binds as the function it wraps
             inner = inner.__wrapped__
@@ -142,20 +138,24 @@ class _Pipeable:
             return False
         return all(name in kwargs for name in self._params[n : self._required])
 
+    def _build(self, upstream, args, kwargs):
+        """The one place a stage is built, whichever call form asked for it."""
+        return self.__wrapped__(upstream, *args, **kwargs)
+
     def __call__(self, *args, **kwargs):
         if args and _is_stream_like(args[0]) and self._binds_fully(args, kwargs):
             if not isinstance(args[0], (Datastream, Iterator)) and self._binds_fully((None,) + args, kwargs):
                 stream, first = self._params[:2]
-                raise TypeError(f"ambiguous call to {self._func.__name__}(): the first argument binds as both "
+                raise TypeError(f"ambiguous call to {self.__name__}(): the first argument binds as both "
                                 f"{stream!r} (run now) and {first!r} (a stage for |); pass iter(...) or use keywords")
-            return self._func(*args, **kwargs)
-        return _BoundStage(self._func, args, kwargs)
+            return self._build(args[0], args[1:], kwargs)
+        return _BoundStage(self, args, kwargs)
 
     def __ror__(self, upstream):
-        return self._func(upstream)
+        return self._build(upstream, (), {})
 
     def __repr__(self) -> str:
-        return f"<pipeable {self._func.__name__}>"
+        return f"<pipeable {self.__name__}>"
 
 
 def pipeable(func):

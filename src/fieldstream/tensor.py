@@ -56,10 +56,6 @@ class Tensor:
     def size(self) -> int:
         return len(self._data)
 
-    @classmethod
-    def scalar(cls, x: float) -> "Tensor":
-        return cls((), (x,))
-
     def to_nested(self):
         """The data as nested lists, one level per dimension; a scalar comes back as a float."""
 
@@ -124,7 +120,7 @@ def as_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
     try:
-        return Tensor.scalar(value)
+        return Tensor((), (value,))
     except ValueError as e:
         raise TypeError(f"neither a tensor nor a numeric scalar: {e}") from None
 

@@ -114,13 +114,13 @@ def test_01_monadic_law_suite():
 
 def test_02_evaluation_strategy_semantics():
     lazy = Record(x=2)
-    lazy.set_field("y", FieldCell.lazy_memoized(lambda r: r.get_field("x") + 1))
+    lazy.set_field("y", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda r: r.get_field("x") + 1))
     for _ in range(10):
         assert lazy.get_field("y") == 3
     assert lazy.cell("y").eval_count <= 1
 
     on_demand = Record(x=2)
-    on_demand.set_field("y", FieldCell.on_demand(lambda r: r.get_field("x") + 1))
+    on_demand.set_field("y", FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda r: r.get_field("x") + 1))
     for gets in range(1, 11):
         on_demand.get_field("y")
         assert on_demand.cell("y").eval_count == gets
@@ -213,7 +213,7 @@ def test_05_sliding_window_against_oracle():
         rows, cells = [], []
         for i, flat in enumerate(table):
             r = Record(idx=i)
-            cell = FieldCell.on_demand(lambda rr, f=flat: Tensor((2, 3), f))
+            cell = FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda rr, f=flat: Tensor((2, 3), f))
             r.set_field("f", cell)
             rows.append(r)
             cells.append(cell)
@@ -308,7 +308,7 @@ def test_08_batching_and_infinite_shuffle():
     cells = []
     for i in range(n):
         r = Record(v=i, class_id=i)
-        cell = FieldCell.on_demand(lambda rr: float(rr.get_field("v")))
+        cell = FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda rr: float(rr.get_field("v")))
         r.set_field("aug", cell)
         rows.append(r)
         cells.append(cell)

@@ -22,9 +22,8 @@ from fieldstream import (
     decode_value,
     encode_value,
     get_datastream,
-    to_jsonable,
 )
-from fieldstream.cache import _COMPACT_ENCODER, _ENCODER, _read_file, _tensor_obj, sanitize_key
+from fieldstream.cache import _COMPACT_ENCODER, _ENCODER, _read_file, _tensor_obj, sanitize_key, to_jsonable
 
 from helpers import ds, random_value, recs, scalar_values, strict_equal, values
 
@@ -420,11 +419,18 @@ def test_corrupt_cache_file_names_path(tmp_path):
     victim = tmp_path / "sq" / "f0.json"
     long_integer = b"1" * 5_000  # json.loads raises CPython's int-string digit limit as a plain ValueError
     long_dim = b'{"v":2,"value":{"t":"tensor","shape":[' + long_integer + b'],"f64":""}}'
-    for blob in [b'{"v":1,"va', HUGE_TENSOR_BLOB, b'{"v":2,"value":' + long_integer + b"}", long_dim]:
+    cases = [  # a cache file, and the end of its message; every malformed-JSON message names line:col
+        (b'{"v":1,"va', " at 1:8"),
+        (HUGE_TENSOR_BLOB, "does not fit a float"),
+        (b'{"v":2,"value":' + long_integer + b"}", " at 1:16"),
+        (long_dim, " at 1:39"),
+        (b'{"v":2,\n"value":[1,' + long_integer + b"]}", " at 2:12"),
+    ]
+    for blob, tail in cases:
         victim.write_bytes(blob)
         with pytest.raises(CacheCorrupt) as exc:
             as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: v, tmp_path))
-        assert "f0.json" in str(exc.value)
+        assert str(exc.value).startswith(f"{victim}: ") and str(exc.value).endswith(tail)
 
 
 def test_cache_multi_source(tmp_path):

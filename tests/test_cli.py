@@ -169,7 +169,7 @@ def test_integer_past_digit_limit_names_file_and_line(tmp_path, capsys):
     write(src, '{"a": 1}\n{"a": ' + "1" * 5_000 + "}\n")
     out = tmp_path / "o.csv"
     assert run_cli(["convert", "--in", str(src), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {src}:2: Exceeds the limit (4300")
+    assert capsys.readouterr().err.startswith(f"error: {src}:2:7: Exceeds the limit (4300")
     assert not out.exists()
 
 

@@ -337,7 +337,7 @@ def test_sliding_window_forces_each_value_once():
     cells = []
     for i in range(n):
         r = Record(idx=i)
-        cell = FieldCell.on_demand(lambda rr: rr.get_field("idx") * 1.0)
+        cell = FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda rr: rr.get_field("idx") * 1.0)
         r.set_field("x", cell)
         rows.append(r)
         cells.append(cell)  # the stream replaces the field, so keep direct refs

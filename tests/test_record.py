@@ -17,7 +17,7 @@ def test_eager_get():
 
 def test_lazy_memoized_forces_once():
     calls = []
-    r = Record().set_field("x", FieldCell.lazy_memoized(lambda _r: calls.append(1) or 7))
+    r = Record().set_field("x", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda _r: calls.append(1) or 7))
     assert [r.get_field("x") for _ in range(3)] == [7, 7, 7]
     assert len(calls) == 1
     assert r.cell("x").eval_count == 1
@@ -25,7 +25,7 @@ def test_lazy_memoized_forces_once():
 
 def test_on_demand_reevaluates_every_get():
     counter = itertools.count(1)
-    r = Record().set_field("x", FieldCell.on_demand(lambda _r: next(counter)))
+    r = Record().set_field("x", FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda _r: next(counter)))
     assert [r.get_field("x") for _ in range(3)] == [1, 2, 3]
     assert r.cell("x").eval_count == 3
 
@@ -40,7 +40,7 @@ def test_get_missing_field_names_it():
 
 def test_thunk_reads_through_record():
     r = Record(x=10)
-    r.set_field("y", FieldCell.lazy_memoized(lambda rr: rr.get_field("x") + 1))
+    r.set_field("y", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: rr.get_field("x") + 1))
     assert r.get_field("y") == 11
 
 
@@ -51,7 +51,7 @@ def test_set_field_append_and_replace_order():
     r.set_value("x", 2)
     assert r.to_dict() == {"x": 2}
     assert r.field_names() == ["x"]
-    r.set_field("y", FieldCell.on_demand(lambda _r: 0))
+    r.set_field("y", FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda _r: 0))
     assert r.field_names() == ["x", "y"]
 
 
@@ -76,7 +76,7 @@ def test_delete_field():
 
 def test_deleted_dependency_fails_at_force_time():
     r = Record(x=1)
-    r.set_field("y", FieldCell.lazy_memoized(lambda rr: rr.get_field("x") + 1))
+    r.set_field("y", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: rr.get_field("x") + 1))
     r.delete_field("x")
     with pytest.raises(MissingField) as exc:
         r.get_field("y")
@@ -93,8 +93,8 @@ def test_delete_after_set_is_identity_on_fresh_name():
 
 def test_forcing_one_field_leaves_others_untouched():
     r = Record(x=1)
-    r.set_field("y", FieldCell.lazy_memoized(lambda rr: rr.get_field("x")))
-    r.set_field("z", FieldCell.on_demand(lambda rr: rr.get_field("x")))
+    r.set_field("y", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: rr.get_field("x")))
+    r.set_field("z", FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda rr: rr.get_field("x")))
     r.get_field("y")
     assert r.cell("z").strategy is EvalStrategy.ON_DEMAND
     assert r.cell("z").eval_count == 0
@@ -104,9 +104,9 @@ def test_forcing_one_field_leaves_others_untouched():
 def test_force_order_independence():
     def build():
         r = Record(a=2)
-        r.set_field("b", FieldCell.lazy_memoized(lambda rr: rr.get_field("a") * 3))
-        r.set_field("c", FieldCell.lazy_memoized(lambda rr: rr.get_field("b") + 1))
-        r.set_field("d", FieldCell.lazy_memoized(lambda rr: rr.get_field("a") - 1))
+        r.set_field("b", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: rr.get_field("a") * 3))
+        r.set_field("c", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: rr.get_field("b") + 1))
+        r.set_field("d", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: rr.get_field("a") - 1))
         return r
 
     expected = {"a": 2, "b": 6, "c": 7, "d": 1}
@@ -119,7 +119,7 @@ def test_force_order_independence():
 def test_lazy_eval_count_at_most_one_under_random_access():
     rng = random.Random(7)
     r = Record(x=5)
-    r.set_field("y", FieldCell.lazy_memoized(lambda rr: rr.get_field("x") ** 2))
+    r.set_field("y", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: rr.get_field("x") ** 2))
     for _ in range(50):
         r.get_field(rng.choice(["x", "y"]))
     assert r.cell("y").eval_count <= 1
@@ -139,13 +139,13 @@ def test_field_name_validation():
     with pytest.raises(ValueError):
         Record().set_value("", 1)
     with pytest.raises(ValueError):
-        Record().set_field(3, FieldCell.eager(1))  # type: ignore[arg-type]
+        Record().set_field(3, FieldCell(EvalStrategy.EAGER, stored=1))  # type: ignore[arg-type]
 
 
 def test_clone_is_independent():
     calls = []
     r = Record(x=1)
-    r.set_field("y", FieldCell.lazy_memoized(lambda rr: calls.append(1) or rr.get_field("x")))
+    r.set_field("y", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: calls.append(1) or rr.get_field("x")))
     c = r.clone()
     c.set_value("x", 99)
     assert c.get_field("y") == 99
@@ -158,7 +158,7 @@ def test_clone_is_independent():
 def test_copy_shares_cells_but_not_the_field_map():
     calls = []
     r = Record(x=1, gone=0)
-    r.set_field("y", FieldCell.lazy_memoized(lambda rr: calls.append(1) or rr.get_field("x")))
+    r.set_field("y", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: calls.append(1) or rr.get_field("x")))
     c = copy.copy(r)
     c.set_value("x", 99)
     c.delete_field("gone")
@@ -217,8 +217,8 @@ def test_field_cell_rejects_unknown_strategy():
 
 
 def test_set_field_unwraps_eager_cells_and_keeps_thunk_cells():
-    eager = FieldCell.eager(5)
-    lazy = FieldCell.lazy_memoized(lambda rr: rr.get_field("x") + 1)
+    eager = FieldCell(EvalStrategy.EAGER, stored=5)
+    lazy = FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: rr.get_field("x") + 1)
     r = Record().set_field("x", eager).set_field("v", [1, 2]).set_field("y", lazy)
     assert r.cell("x") is not eager
     assert r.to_dict() == {"x": 5, "v": [1, 2], "y": 6}
@@ -245,8 +245,8 @@ def test_eager_cell_is_a_fresh_view():
 def test_mixed_record_repr_clone_and_to_dict():
     counter = itertools.count(1)
     r = Record(a=1, b="t", c=None)
-    r.set_field("y", FieldCell.lazy_memoized(lambda rr: rr.get_field("a") + 1))
-    r.set_field("z", FieldCell.on_demand(lambda _r: next(counter)))
+    r.set_field("y", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: rr.get_field("a") + 1))
+    r.set_field("z", FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda _r: next(counter)))
     shown = "Record(a=1, b='t', c=None, y=<lazy_memoized>, z=<on_demand>)"
     assert repr(r) == shown
     c = r.clone()
@@ -258,7 +258,7 @@ def test_mixed_record_repr_clone_and_to_dict():
     assert [(n, r.cell(n).eval_count, c.cell(n).eval_count) for n in r.field_names()] == [
         ("a", 0, 0), ("b", 0, 0), ("c", 0, 0), ("y", 1, 1), ("z", 1, 1),
     ]
-    assert repr(r.cell("a")) == "FieldCell.eager(1)"
+    assert repr(r.cell("a")) == "FieldCell(eager, 1)"
     assert repr(r.cell("y")) == "FieldCell(lazy_memoized forced)"
 
 
@@ -266,7 +266,7 @@ def test_mixed_record_repr_clone_and_to_dict():
 
 def test_to_dict_is_a_new_dict_for_eager_and_mixed_records():
     eager = Record(x=1, y=[2])
-    mixed = Record(x=1).set_field("y", FieldCell.lazy_memoized(lambda rr: rr.get_field("x") + 1))
+    mixed = Record(x=1).set_field("y", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: rr.get_field("x") + 1))
     for r, want in [(eager, {"x": 1, "y": [2]}), (mixed, {"x": 1, "y": 2})]:
         d = r.to_dict()
         assert d == want

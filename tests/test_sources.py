@@ -253,7 +253,7 @@ LONG_INTEGER = "1" * 5_000  # past CPython's default int-string digit limit, whi
 
 
 @pytest.mark.parametrize("name, text, where", [
-    ("t.jsonl", '{"a": 1}\n\n{"a": ' + LONG_INTEGER + "}\n", ":3: "),
+    ("t.jsonl", '{"a": 1}\n\n{"a": ' + LONG_INTEGER + "}\n", ":3:7: "),
     ("t.json", '[{"a": 1},\n{"a": ' + LONG_INTEGER + "}]", ":2:7: "),
     # digits in a string, an escaped quote, and a float are not the literal json rejects
     ("s.json", '[{"s": "\\"' + LONG_INTEGER + '", "f": ' + LONG_INTEGER + 'e1},\n'

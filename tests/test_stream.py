@@ -6,6 +6,7 @@ import inspect
 import itertools
 import os
 import pkgutil
+import re
 
 import pytest
 from hypothesis import given
@@ -127,7 +128,8 @@ def test_as_field_rejects_bad_name():
         as_field([1], "")
 
 
-@pytest.mark.parametrize("value", [FieldCell.eager([1]), None, [1, 2], FieldCell.lazy_memoized(lambda r: 1)],
+@pytest.mark.parametrize("value", [FieldCell(EvalStrategy.EAGER, stored=[1]), None, [1, 2],
+                                   FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda r: 1)],
                          ids=["eager-cell", "none", "list", "lazy-cell"])
 def test_as_field_stores_what_set_field_stores(value):
     (got,) = as_list(as_field([value], "x"))
@@ -191,8 +193,8 @@ def test_count_forces_nothing():
     rs = []
     for i in range(3):
         r = Record()
-        r.set_field("x", FieldCell.lazy_memoized(lambda _r: calls.append(1) or 0))
-        r.set_field("y", FieldCell.on_demand(lambda _r: calls.append(1) or 0))
+        r.set_field("x", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda _r: calls.append(1) or 0))
+        r.set_field("y", FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda _r: calls.append(1) or 0))
         rs.append(r)
     assert count(ds(rs)) == 3
     assert calls == []
@@ -336,6 +338,29 @@ def test_plain_list_pipes_into_stage():
     assert xvals(out) == [1]
 
 
+_ROWS = [{"x": 1}, {"x": 2}]
+
+
+@pytest.mark.parametrize("run, stage", [
+    pytest.param(lambda: take(ds(recs(_ROWS)), 1), "take", id="take(s, 1)"),
+    pytest.param(lambda: ds(recs(_ROWS)) | take(1), "take", id="s | take(1)"),
+    pytest.param(lambda: iter(recs(_ROWS)) | take(1), "take", id="iter(rs) | take(1)"),
+    pytest.param(lambda: ds(recs(_ROWS)) | as_list, "as_list", id="s | as_list"),
+    pytest.param(lambda: iter(recs(_ROWS)) | as_list, "as_list", id="iter(rs) | as_list"),
+])
+def test_every_call_form_builds_its_stage_in_one_place(run, stage, monkeypatch):
+    built = []
+    build = _Pipeable._build
+
+    def counting_build(self, upstream, args, kwargs):
+        built.append(self.__name__)
+        return build(self, upstream, args, kwargs)
+
+    monkeypatch.setattr(_Pipeable, "_build", counting_build)
+    run()
+    assert built == [stage]
+
+
 _RECS = [Record(x=1.0, filename="a.jpg", split=SplitLabel.TRAIN)]
 _F = lambda v: v  # noqa: E731
 
@@ -400,6 +425,26 @@ def test_package_exports_exactly_its_modules_public_names():
     for module in modules:
         for name in module.__all__:
             assert getattr(fieldstream, name) is getattr(module, name), name
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_surface(text: str) -> set[str]:
+    """The backticked names of the README's Operations table and its Types and Errors paragraphs."""
+    paragraphs = text.split("\n\n")
+    table = paragraphs[paragraphs.index("## Operations") + 1]
+    pinned = [p for p in paragraphs if p.startswith(("**Types.**", "**Errors.**"))]
+    assert table.startswith("| Area |") and len(pinned) == 2
+    return set(re.findall(r"`(\w+)`", "\n".join([table, *pinned])))
+
+
+def test_package_exports_exactly_the_names_the_readme_lists():
+    with open(README, encoding="utf-8") as fh:
+        listed = readme_surface(fh.read())
+    exported = set(fieldstream.__all__)
+    assert sorted(exported - listed) == [], "exported but not in the README"
+    assert sorted(listed - exported) == [], "in the README but not exported"
 
 
 def test_list_first_table_covers_every_exported_pipeable():
