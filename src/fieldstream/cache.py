@@ -15,9 +15,12 @@ layout, are still read; each version recognizes only its own layout.
 
 Layout on disk is ``cache_dir/<dst>/<encoded key>.json`` where the key
 is the record's key field with every byte outside ``[A-Za-z0-9._-]``
-percent-encoded. Writes go through a temp file and an atomic rename,
-so concurrent processes sharing a cache directory never observe a
-partial file. A file that exists but fails to decode raises
+percent-encoded; an encoded key too long for a 255-byte file name is
+cut to its first 185 bytes, then ``~`` and the sha256 hex of the key.
+``dst`` names one directory: ``.``, ``..`` and names holding a path
+separator are refused when the stage is built. Writes go through a
+temp file and an atomic rename, so concurrent processes sharing a cache
+directory never observe a partial file. A file that exists but fails to decode raises
 CacheCorrupt naming the path; it is never silently recomputed. A file
 holding one tensor, byte for byte as ``encode_value`` writes it, is
 decoded without the JSON parser; every other file is parsed as JSON.
@@ -49,6 +52,26 @@ _KEY_TABLE = [chr(b) if b in _SAFE_BYTES else f"%{b:02X}" for b in range(256)]
 def sanitize_key(key: str) -> str:
     """Percent-encode every byte outside [A-Za-z0-9._-]; a lone surrogate is its three UTF-8 bytes."""
     return key.encode("utf-8", "surrogatepass").decode("latin-1").translate(_KEY_TABLE)
+
+
+# A file name is at most 255 bytes (NAME_MAX on Linux and macOS); a sanitized key is ASCII.
+_LONGEST_KEY = 255 - len(".json")
+
+
+def _long_key_name(name: str, key: str) -> str:
+    """The file name, less ``.json``, of a key whose sanitized ``name`` is longer than ``_LONGEST_KEY``:
+    a prefix of ``name``, ``~`` and the sha256 hex of the key. ``sanitize_key`` escapes every ``~``,
+    so no shorter key's name has this form."""
+    import hashlib  # here, so that a cache of short keys never loads it
+
+    digest = hashlib.sha256(key.encode("utf-8", "surrogatepass")).hexdigest()
+    return name[: _LONGEST_KEY - 1 - len(digest)] + "~" + digest
+
+
+def check_dst(dst: str) -> None:
+    """A ``dst`` that is not one directory name inside the cache directory raises ValueError."""
+    if dst in (".", "..") or os.sep in dst or (os.altsep and os.altsep in dst):
+        raise ValueError(f"cache dst {dst!r} must name one directory: not '.' or '..', and no path separator")
 
 
 def _tensor_obj(shape, data) -> dict:
@@ -244,7 +267,7 @@ def decode_value(blob: bytes | str) -> Value:
         payload = json.loads(blob)
     except ValueError as e:
         e = json_error(e, blob)
-        raise CacheCorrupt(f"malformed JSON: {e.msg} at {e.lineno}:{e.colno}") from None
+        raise CacheCorrupt(f"malformed JSON: {e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(payload, dict) or "v" not in payload or "value" not in payload:
         raise CacheCorrupt("missing version envelope")
     if payload["v"] not in (1, 2):
@@ -317,6 +340,7 @@ def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") ->
     atomically before the record is yielded.
     """
     check_name(dst)
+    check_dst(dst)
     check_name(key_field)
     check_callable(f, "cache function")
     read = reader(src)
@@ -330,7 +354,10 @@ def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") ->
             key = r.get_field(key_field)
             if not isinstance(key, str):
                 raise TypeError(f"cache key field {key_field!r} must be text, got {type(key).__name__}")
-            path = prefix + sanitize_key(key) + ".json"
+            name = sanitize_key(key)
+            if len(name) > _LONGEST_KEY:
+                name = _long_key_name(name, key)
+            path = prefix + name + ".json"
             blob = _read_file(path)
             if blob is None:
                 value = f(read(r))

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 import os
+import struct
 import sys
-from array import array
 from types import SimpleNamespace
 
 from .cache import _ENCODER, _tensor_obj, atomic_open, from_jsonable
@@ -53,15 +52,19 @@ def _row_text(row: tuple[float, ...]) -> str:
 def _window_encoder():
     """A line encoder for sliding-window records that encodes each tensor row once.
 
-    Consecutive windows share all but one row of each stacked field, so a
-    row's text is kept for the next line, keyed by its exact bits (``0.0``
-    and ``-0.0`` stay apart). The memo holds only the rows of the previous
-    line. Tensors of rank 2 or more with non-empty rows are joined from row
-    texts; every other value goes through ``_ENCODER`` as it is. A line with
-    no tensor of rank 2 or more (windows of scalars) is one ``_ENCODER``
-    call, as for the other commands: it has no rows to share.
+    Consecutive windows share all but one row of each stacked field. So,
+    per field name, the previous line's shape, exact bits and row texts are
+    kept; when the shape is the same and the bits of all but the last row
+    equal the previous line's bits after its first row, that line's row
+    texts less the first are reused and only the new last row is encoded.
+    Bits, not float equality, decide, so ``0.0`` and ``-0.0`` stay apart.
+    Tensors of rank 2 or more with data are joined from row texts; every
+    other value goes through ``_ENCODER`` as it is. A line with no tensor of
+    rank 2 or more (windows of scalars) is one ``_ENCODER`` call, as for the
+    other commands: it has no rows to share.
     """
-    prev: dict[bytes, str] = {}
+    heads: dict[tuple[str, tuple[int, ...]], str] = {}  # (name, shape) -> text up to the first row
+    prev: dict[str, tuple] = {}  # name -> (shape, bits, row texts) of the previous line
 
     def encode(fields: dict) -> str:
         nonlocal prev
@@ -71,23 +74,26 @@ def _window_encoder():
         else:
             prev = {}
             return _ENCODER.encode(fields)
-        cur: dict[bytes, str] = {}
+        cur = {}
         parts = []
         for name, v in fields.items():
-            if type(v) is Tensor and len(v.shape) >= 2 and (width := math.prod(v.shape[1:])):
-                data = v.data
-                bits = array("d", data).tobytes()
-                rows = []
-                for i in range(0, len(data), width):
-                    key = bits[8 * i : 8 * (i + width)]
-                    text = cur.get(key) or prev.get(key) or _row_text(data[i : i + width])
-                    cur[key] = text
-                    rows.append(text)
-                # the layout ends with "data", so its text with no data, less the closing "]}", is the head
-                text = _ENCODER.encode(_tensor_obj(v.shape, ()))[:-2] + ", ".join(rows) + "]}"
+            if type(v) is Tensor and len(v.shape) >= 2 and (data := v.data):
+                shape = v.shape
+                width = len(data) // shape[0]
+                bits = struct.pack(f"<{len(data)}d", *data)
+                kept_shape, kept_bits, kept_rows = prev.get(name, ((), b"", ()))
+                if kept_shape == shape and bits[: -8 * width] == kept_bits[8 * width :]:
+                    rows = kept_rows[1:]
+                    rows.append(_row_text(data[-width:]))
+                else:
+                    rows = [_row_text(data[i : i + width]) for i in range(0, len(data), width)]
+                cur[name] = shape, bits, rows
+                if (head := heads.get((name, shape))) is None:
+                    # the layout ends with "data", so the field's text with no data, less "{" and "]}}", is the head
+                    head = heads[name, shape] = _ENCODER.encode({name: _tensor_obj(shape, ())})[1:-3]
+                parts.append(head + ", ".join(rows) + "]}")
             else:
-                text = _ENCODER.encode(v)
-            parts.append(_ENCODER.encode(name) + ": " + text)
+                parts.append(_ENCODER.encode(name) + ": " + _ENCODER.encode(v))
         prev = cur
         return "{" + ", ".join(parts) + "}"
 

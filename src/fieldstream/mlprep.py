@@ -127,7 +127,7 @@ def _load_split_file(path) -> dict[str, SplitLabel]:
         data = json.loads(text)
     except ValueError as e:
         e = json_error(e, text)
-        raise BadSplitFile(f"{path}: malformed JSON: {e.msg} at {e.lineno}:{e.colno}") from None
+        raise BadSplitFile(f"{path}: malformed JSON: {e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(data, dict):
         raise BadSplitFile(f"{path}: expected a JSON object of key -> label")
     out = {}

@@ -125,10 +125,11 @@ class Record:
 
     @classmethod
     def from_values(cls, values: Mapping[str, Value]) -> "Record":
-        """Record of a mapping's values, each kept as it is (a FieldCell too); for names that aren't identifiers."""
-        for name in values:
-            check_name(name)
-        return cls._adopt(dict(values))
+        """Record of a mapping's values, each stored as :meth:`set_field` stores it; for names that aren't identifiers."""
+        r = cls()
+        for name, value in values.items():
+            r.set_field(name, value)
+        return r
 
     @classmethod
     def _adopt(cls, cells: dict[str, Value]) -> "Record":

@@ -2,6 +2,7 @@
 
 import base64
 import functools
+import hashlib
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from fieldstream import (
 )
 from fieldstream.cache import _COMPACT_ENCODER, _ENCODER, _read_file, _tensor_obj, sanitize_key, to_jsonable
 
-from helpers import ds, random_value, recs, scalar_values, strict_equal, values
+from helpers import CountingSource, ds, random_value, recs, scalar_values, strict_equal, values
 
 
 # encode / decode -----------------------------------------------------------------
@@ -419,18 +420,20 @@ def test_corrupt_cache_file_names_path(tmp_path):
     victim = tmp_path / "sq" / "f0.json"
     long_integer = b"1" * 5_000  # json.loads raises CPython's int-string digit limit as a plain ValueError
     long_dim = b'{"v":2,"value":{"t":"tensor","shape":[' + long_integer + b'],"f64":""}}'
-    cases = [  # a cache file, and the end of its message; every malformed-JSON message names line:col
-        (b'{"v":1,"va', " at 1:8"),
-        (HUGE_TENSOR_BLOB, "does not fit a float"),
-        (b'{"v":2,"value":' + long_integer + b"}", " at 1:16"),
-        (long_dim, " at 1:39"),
-        (b'{"v":2,\n"value":[1,' + long_integer + b"]}", " at 2:12"),
+    with pytest.raises(ValueError) as limit:
+        int(long_integer)
+    cases = [  # a cache file, and its message after the path; every malformed-JSON message is line:col: msg
+        (b'{"v":1,"va', "malformed JSON: 1:8: Unterminated string starting at"),
+        (HUGE_TENSOR_BLOB, "integer of 1329 bits does not fit a float"),
+        (b'{"v":2,"value":' + long_integer + b"}", f"malformed JSON: 1:16: {limit.value}"),
+        (long_dim, f"malformed JSON: 1:39: {limit.value}"),
+        (b'{"v":2,\n"value":[1,' + long_integer + b"]}", f"malformed JSON: 2:12: {limit.value}"),
     ]
-    for blob, tail in cases:
+    for blob, message in cases:
         victim.write_bytes(blob)
         with pytest.raises(CacheCorrupt) as exc:
             as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: v, tmp_path))
-        assert str(exc.value).startswith(f"{victim}: ") and str(exc.value).endswith(tail)
+        assert str(exc.value) == f"{victim}: {message}"
 
 
 def test_cache_multi_source(tmp_path):
@@ -560,3 +563,50 @@ def test_cache_key_from_undecodable_file_name(tmp_path):
     assert len(calls) == 1
     assert calls[0].endswith("x\udcff.jpg")
     assert os.listdir(tmp_path / "cache" / "n") == [sanitize_key(calls[0]) + ".json"]
+
+
+# cache paths ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dst", [".", "..", "a/b", "absolute"])
+def test_dst_that_is_not_one_directory_fails_when_composed(tmp_path, dst):
+    if dst == "absolute":
+        dst = str(tmp_path / "elsewhere")
+    source = CountingSource(recs([{"filename": "k", "x": 1}]))
+    with pytest.raises(ValueError, match="must name one directory"):
+        source.stream() | apply_cached("x", dst, lambda v: v, tmp_path / "cache")
+    assert source.pulls == 0
+    assert os.listdir(tmp_path) == []  # neither the cache directory nor anything beside it
+
+
+def test_long_keys_get_distinct_file_names_that_fit(tmp_path):
+    ascii_path = "/".join(f"d{i:02d}" for i in range(40)) + "/" + "v" * 81  # 245 characters, 40 directories
+    keys = [
+        "données/" + "图" * 30 + ".jpg",
+        ascii_path,
+        ascii_path[:-1] + "w",  # its encoded name shares the long one's prefix
+        "k" * 250,  # the longest name kept whole: 255 bytes with ".json"
+        "k" * 251,
+        "short.jpg",
+    ]
+    calls = []
+
+    def f(key):
+        calls.append(key)
+        return Tensor((1,), [float(len(key))])
+
+    for _ in range(2):  # cold, then warm
+        out = as_list(ds(recs([{"filename": k} for k in keys])) | apply_cached("filename", "n", f, tmp_path))
+        assert [r.get_field("n") for r in out] == [Tensor((1,), [float(len(k))]) for k in keys]
+    assert calls == keys
+
+    def expected_name(key):
+        name = sanitize_key(key)
+        if len(name) > 250:
+            name = name[:185] + "~" + hashlib.sha256(key.encode("utf-8", "surrogatepass")).hexdigest()
+        return name + ".json"
+
+    names = [expected_name(k) for k in keys]
+    assert sorted(os.listdir(tmp_path / "n")) == sorted(names)
+    assert [len(os.fsencode(n)) for n in names] == [255, 255, 255, 255, 255, len("short.jpg.json")]
+    assert names[1][:185] == names[2][:185] and names[1] != names[2]
+    assert [n.count("~") for n in names] == [1, 1, 1, 0, 1, 0]

@@ -520,6 +520,32 @@ def test_window_of_scalars_is_one_encode_per_line(tmp_path, monkeypatch):
     assert out.read_text(encoding="utf-8") == _window_oracle(src, ["x", "y"], size)
 
 
+def test_window_encoder_matches_single_shot_encoding_on_lines_that_do_not_slide(monkeypatch):
+    r0, r1, r2, r3 = [1.0, 2.0], [0.0, 3.0], [4.0, 5.0], [6.0, 0.0]
+    ones = [1.0] * 4
+    empty = {"z": Tensor((0, 3), []), "w": Tensor((2, 0), [])}  # no row text to append or reuse
+    lines = [  # (fields, row texts encoded for them)
+        ({"m": Tensor((3, 2), r0 + r1 + r2), **empty, "i": 0}, 3),
+        ({"m": Tensor((3, 2), r1 + r2 + r3), **empty, "i": 1}, 1),  # slid by one row
+        ({"m": Tensor((3, 2), r2 + [6.0, -0.0] + [8.0, 9.0]), "i": 2}, 3),  # the overlap apart only by a zero's sign
+        ({"m": Tensor((3, 2), [7.0, math.nan, 1e300, -5e-324, math.inf, 0.1]), "i": 3}, 3),  # unrelated rows
+        ({"m": Tensor((2, 2), ones), "i": 4}, 2),
+        ({"m": Tensor((4, 1), ones), "i": 5}, 4),  # a new shape under the same name, bits that would slide
+        ({"n": Tensor((2, 2, 2), [float(j) for j in range(8)]), "i": 6}, 2),  # "m" gone
+        ({"m": Tensor((4, 1), ones), "n": Tensor((2, 2, 2), [float(j) for j in range(4, 12)]), "i": 7}, 4 + 1),
+        ({"m": Tensor((4,), ones), "s": 1.5, "i": 8}, 0),  # no tensor of rank 2 or more
+        ({"m": Tensor((4, 1), ones), "n": Tensor((2, 2, 2), [float(j) for j in range(8, 16)]), "i": 9}, 4 + 2),
+    ]
+    calls = []
+    row_text = cli._row_text
+    monkeypatch.setattr(cli, "_row_text", lambda row: calls.append(row) or row_text(row))
+    encode = cli._window_encoder()
+    for fields, rows in lines:
+        calls.clear()
+        assert encode(fields) == _ENCODER.encode(fields)
+        assert len(calls) == rows, fields["i"]
+
+
 # csv cells holding a carriage return ----------------------------------------------
 
 @pytest.mark.parametrize("cells", [{"a": "x\ry", "b": "p\r\nq"}, {"a": "\r", "b": "\r,\n"}, {"a": "x\r", "b": ""}])

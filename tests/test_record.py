@@ -283,6 +283,18 @@ def test_from_values_rejects_a_non_text_or_empty_name(name):
         Record.from_values({"ok": 1, name: 2})
 
 
+def test_from_values_unwraps_an_eager_cell_as_set_field_does():
+    lazy = FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda rr: rr.get_field("a") + 1)
+    r = Record.from_values({"a": FieldCell(EvalStrategy.EAGER, stored=1), "y": lazy})
+    assert repr(r) == repr(Record(a=1).set_field("y", lazy)) == "Record(a=1, y=<lazy_memoized>)"
+    assert r.cell("y") is lazy  # a thunk cell is kept as it is
+    assert r.to_dict() == {"a": 1, "y": 2}
+    eager = Record.from_values({"a": FieldCell(EvalStrategy.EAGER, stored=[1]), "b": "t"})
+    assert repr(eager) == "Record(a=[1], b='t')"
+    d = eager.to_dict()
+    assert d == {"a": [1], "b": "t"} and [type(v) for v in d.values()] == [list, str]
+
+
 def test_from_values_copies_the_mapping():
     values = {"a": 1, "b": "t"}
     r = Record.from_values(values)
