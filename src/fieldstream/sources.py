@@ -2,7 +2,9 @@
 
 All file enumeration is sorted lexicographically so two runs over the
 same tree produce byte-identical streams. CSV follows the minimal RFC
-4180 dialect (comma, double quotes, doubled-quote escaping, UTF-8).
+4180 dialect (comma, double quotes, doubled-quote escaping, UTF-8); a
+UTF-8 byte order mark before the header is dropped, while JSON input
+refuses one, as RFC 8259 allows.
 JSON input is either one top-level array of objects or JSON Lines,
 detected by the first non-whitespace character. JSON Lines is read one
 line at a time and breaks lines only at ``\n``, so U+2028, U+2029,
@@ -114,15 +116,17 @@ def _not_utf8(path: str, e: UnicodeDecodeError) -> ParseError:
 def csvsource(path) -> Datastream:
     """Stream of records from a CSV file; the header names the fields.
 
-    Every cell stays text, no type inference. A blank or repeated
-    header name raises ParseError before the first row; a row whose
-    cell count differs from the header's raises RaggedRow at that row.
+    Every cell stays text, no type inference. A UTF-8 byte order mark
+    before the header, as Excel's "CSV UTF-8" writes, is dropped. A
+    blank or repeated header name raises ParseError before the first
+    row; a row whose cell count differs from the header's raises
+    RaggedRow at that row.
     """
     path = os.fspath(path)
 
     def gen():
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 reader = csv.reader(fh)
                 try:
                     header = next(reader)
@@ -133,12 +137,11 @@ def csvsource(path) -> Datastream:
                 for i, name in enumerate(header):
                     if not name or name in header[:i]:
                         raise ParseError(f"{path}:{reader.line_num}: header cell {i + 1} {name!r} is blank or repeated")
+                width, adopt = len(header), Record._adopt
                 for row in reader:
-                    if len(row) != len(header):
-                        raise RaggedRow(
-                            f"{path}:{reader.line_num}: row has {len(row)} cells, header has {len(header)}"
-                        )
-                    yield Record._adopt(dict(zip(header, row)))
+                    if len(row) != width:
+                        raise RaggedRow(f"{path}:{reader.line_num}: row has {len(row)} cells, header has {width}")
+                    yield adopt(dict(zip(header, row)))
         except UnicodeDecodeError as e:
             raise _not_utf8(path, e) from None
 

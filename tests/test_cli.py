@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import fieldstream.cli as cli
 from fieldstream import (
     Datastream,
+    EvalStrategy,
+    FieldCell,
     Record,
     Tensor,
     apply,
@@ -152,6 +154,7 @@ def test_unencodable_csv_output_names_input_and_record(tmp_path, capsys):
     [
         ("in.jsonl", b'{"a": 1}\n\xff\n', 2),
         ("in.csv", b"a,b\r\n1,2\r\n\"x\ny\",\xc3\r\n", 4),
+        ("in.csv", b"\xef\xbb\xbfa,b\r\n1,\xff\r\n", 2),  # after a byte order mark
     ],
 )
 def test_invalid_utf8_input_names_file_and_line(tmp_path, capsys, name, data, line):
@@ -224,6 +227,21 @@ def test_convert_csv_to_jsonl_content(tmp_path):
     write(src, "a,b\n1,x\n")
     run_cli(["convert", "--in", str(src), "--out", str(mid)])
     assert json.loads(mid.read_text().splitlines()[0]) == {"a": "1", "b": "x"}
+
+
+def test_convert_drops_a_csv_bom(tmp_path, capsys):
+    src, mid, back = tmp_path / "in.csv", tmp_path / "mid.jsonl", tmp_path / "back.csv"
+    src.write_bytes("\ufeffid,name\n1,a\n2,\ufeffb\n".encode())  # a U+FEFF in a cell is data
+    assert run_cli(["convert", "--in", str(src), "--out", str(mid)]) == 0
+    assert mid.read_text(encoding="utf-8") == '{"id": "1", "name": "a"}\n{"id": "2", "name": "\ufeffb"}\n'
+    assert run_cli(["convert", "--in", str(mid), "--out", str(back)]) == 0
+    assert back.read_text(encoding="utf-8") == "id,name\n1,a\n2,\ufeffb\n"
+    only = tmp_path / "only.csv"
+    only.write_bytes(b"\xef\xbb\xbf")
+    out = tmp_path / "o.jsonl"
+    assert run_cli(["convert", "--in", str(only), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {only}: empty file, expected a header row\n"
+    assert not out.exists()
 
 
 def test_convert_unsupported_extensions(tmp_path, capsys):
@@ -579,3 +597,48 @@ def test_csv_writerow_is_one_write_ending_in_its_terminator():
     writer.writerow([])
     writer.writerow([""])
     assert writes == ['a,"x\ry","p\r\nq","say ""hi""",\r\n', "\r\n", '""\r\n']
+
+
+# the writer gets eager records only ------------------------------------------------
+
+_WRITING_COMMANDS = {
+    "convert-csv": ["convert", "--in", "{csv}", "--out", "{out}.jsonl"],
+    "convert-jsonl": ["convert", "--in", "{jsonl}", "--out", "{out}.csv"],
+    "stratify": ["stratify", "--in", "{jsonl}", "--class-field", "k", "--out", "{out}.jsonl"],
+    "shard": ["shard", "--in", "{jsonl}", "--k", "1", "--n", "2", "--out", "{out}.jsonl"],
+    "window": ["window", "--in", "{jsonl}", "--fields", "x,v", "--size", "2", "--out", "{out}.jsonl"],
+}
+
+
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS.values(), ids=_WRITING_COMMANDS.keys())
+def test_every_writing_command_hands_the_writer_eager_records(tmp_path, monkeypatch, argv):
+    paths = {"csv": tmp_path / "in.csv", "jsonl": tmp_path / "in.jsonl", "out": tmp_path / "out"}
+    write(paths["csv"], 'a,b\n1,"x,y"\n2,z\n')
+    rows = [{"k": "AB"[i % 2], "x": i / 2, "v": _tensor_obj([2], [float(i), -float(i)])} for i in range(6)]
+    write(paths["jsonl"], "".join(json.dumps(row) + "\n" for row in rows))
+    lazy = []  # per record the writer received: does it hold a thunk cell?
+    write_lines = cli._write_lines
+
+    def spy(records, *args):
+        def checked():
+            for r in records:
+                lazy.append(any(type(v) is FieldCell for v in r._cells.values()))
+                yield r
+
+        write_lines(checked(), *args)
+
+    monkeypatch.setattr(cli, "_write_lines", spy)
+    assert run_cli([arg.format(**paths) for arg in argv]) == 0
+    assert lazy and not any(lazy)
+
+
+@pytest.mark.parametrize("strategy", [EvalStrategy.LAZY_MEMOIZED, EvalStrategy.ON_DEMAND])
+@pytest.mark.parametrize("encoder", [lambda: _ENCODER.encode, cli._csv_encoder, cli._window_encoder], ids=["jsonl", "csv", "window"])
+def test_writer_refuses_a_thunk_field_and_leaves_no_file(tmp_path, strategy, encoder):
+    cell = FieldCell(strategy, thunk=lambda r: 2)
+    m = Tensor((2, 2), [1.0, 2.0, 3.0, 4.0])
+    records = [Record(a=1, m=m, b=2), Record(a=1, m=m).set_field("b", cell)]
+    with pytest.raises(TypeError, match="^FieldCell is not an encodable value$"):
+        cli._write_lines(records, str(tmp_path / "o.jsonl"), "in.jsonl", encoder())
+    assert cell.eval_count == 0  # not forced: the writer has no second path
+    assert list(tmp_path.iterdir()) == []

@@ -187,6 +187,38 @@ def test_csvsource_rows_do_not_share_storage(tmp_path):
     assert first.to_dict() == {"a": "changed", "b": "x", "c": "new"}
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte order mark Excel's "CSV UTF-8" export puts first
+
+
+def test_csvsource_drops_a_bom_before_the_header(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(BOM + b"id,name\r\n1,a\r\n")
+    assert [r.to_dict() for r in as_list(csvsource(p))] == [{"id": "1", "name": "a"}]
+
+
+def test_csvsource_keeps_a_bom_character_past_the_start(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(BOM + BOM + "a,\ufeffb\n\ufeffx,y\ufeff\n".encode())  # only the first is a mark
+    assert [r.to_dict() for r in as_list(csvsource(p))] == [{"\ufeffa": "\ufeffx", "\ufeffb": "y\ufeff"}]
+
+
+def test_csvsource_file_of_only_a_bom_is_empty(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(BOM)
+    with pytest.raises(ParseError) as exc:
+        as_list(csvsource(p))
+    assert str(exc.value) == f"{p}: empty file, expected a header row"
+
+
+@pytest.mark.parametrize("name, text", [("t.jsonl", '{"a": 1}\n'), ("t.json", '[{"a": 1}]\n')])
+def test_jsonstream_refuses_a_bom(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_bytes(BOM + text.encode())
+    with pytest.raises(ParseError) as exc:
+        as_list(jsonstream(p))
+    assert str(exc.value).startswith(f"{p}:1:1: Unexpected UTF-8 BOM")
+
+
 # jsonstream ------------------------------------------------------------------------
 
 def test_jsonstream_array(tmp_path):
@@ -302,6 +334,8 @@ def test_jsonstream_jsonl_is_read_a_line_at_a_time(tmp_path):
 INVALID_UTF8 = {
     "csv-header": ("t.csv", b"a,\xff\n1,2\n", 1, "invalid start byte"),
     "csv-quoted-newline": ("t.csv", b'a,b\r\n1,2\r\n"x\ny",\xc3\r\n', 4, "invalid continuation byte"),
+    "csv-after-bom": ("t.csv", BOM + b"a,b\n1,2\n3,\xff\n", 3, "invalid start byte"),
+    "csv-header-after-bom": ("t.csv", BOM + b"a,\xe2\x82\n1,2\n", 1, "invalid continuation byte"),
     "jsonl": ("t.jsonl", b'{"a": 1}\n\xff\n', 2, "invalid start byte"),
     "jsonl-past-first-chunk": ("t.jsonl", b'{"a": 1}\n' * 5_000 + b'{"a": "\xe2\x82"}\n', 5_001, "invalid continuation byte"),
     "jsonl-cut-at-end": ("t.jsonl", b'{"a": 1}\n\n{"a": "\xe2\x82', 3, "unexpected end of data"),
