@@ -245,13 +245,18 @@ def _long_int_at(text: str) -> int:
                 if m[1] and len(m[1]) > limit and not (m[2] or m[3]))
 
 
-def json_error(e: ValueError, text: str) -> json.JSONDecodeError:
-    """The ValueError ``json.loads(text)`` raised, as a JSONDecodeError with a position.
+def parse_json(text: str, error: type[Exception], where: str, line: int = 1):
+    """``json.loads(text)``; malformed JSON raises ``error("{where}{line}:{col}: {msg}")``.
 
-    ``json`` raises an integer of more digits than ``int`` accepts as a plain ValueError with
-    no position, so only this error path scans ``text`` for that literal.
+    ``line`` is the file line ``text`` starts on. ``json`` raises an integer past the
+    int-string digit limit with no position, so only this error path scans ``text`` for it.
     """
-    return e if isinstance(e, json.JSONDecodeError) else json.JSONDecodeError(str(e), text, _long_int_at(text))
+    try:
+        return json.loads(text)
+    except ValueError as e:
+        if not isinstance(e, json.JSONDecodeError):
+            e = json.JSONDecodeError(str(e), text, _long_int_at(text))
+        raise error(f"{where}{line + e.lineno - 1}:{e.colno}: {e.msg}") from None
 
 
 def decode_value(blob: bytes | str) -> Value:
@@ -263,11 +268,7 @@ def decode_value(blob: bytes | str) -> Value:
             blob = blob.decode("utf-8")
         except UnicodeDecodeError as e:
             raise CacheCorrupt(f"not UTF-8: {e}") from None
-    try:
-        payload = json.loads(blob)
-    except ValueError as e:
-        e = json_error(e, blob)
-        raise CacheCorrupt(f"malformed JSON: {e.lineno}:{e.colno}: {e.msg}") from None
+    payload = parse_json(blob, CacheCorrupt, "malformed JSON: ")
     if not isinstance(payload, dict) or "v" not in payload or "value" not in payload:
         raise CacheCorrupt("missing version envelope")
     if payload["v"] not in (1, 2):

@@ -13,9 +13,13 @@ correspondence testable:
   v is deleted from the left side.
 
 The checks compare fully forced records with structural value
-equality, so evaluation strategies are invisible to them. Each check
-takes the operation under test as an optional parameter, which lets a
-test demonstrate that a deliberately broken variant fails the law.
+equality, and they build EAGER stages. The associativity form that
+deletes v holds only under EAGER: under LAZY_MEMOIZED and ON_DEMAND,
+w's thunk reads v when it is forced, after ``delfield`` removed it, and
+raises MissingField. Under every strategy the law holds with v left out
+of the comparison instead of deleted. Each check takes the operation
+under test as an optional parameter, which lets a test demonstrate that
+a deliberately broken variant fails the law.
 """
 
 from __future__ import annotations

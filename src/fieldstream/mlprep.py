@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 from enum import Enum
 
-from .cache import atomic_write_bytes, json_error
+from .cache import atomic_write_bytes, parse_json
 from .combinators import apply
 from .errors import (
     BadPattern,
@@ -123,11 +123,7 @@ def _load_split_file(path) -> dict[str, SplitLabel]:
             text = fh.read()
     except UnicodeDecodeError as e:
         raise BadSplitFile(f"{path}: malformed JSON: {e}") from None
-    try:
-        data = json.loads(text)
-    except ValueError as e:
-        e = json_error(e, text)
-        raise BadSplitFile(f"{path}: malformed JSON: {e.lineno}:{e.colno}: {e.msg}") from None
+    data = parse_json(text, BadSplitFile, f"{path}: malformed JSON: ")
     if not isinstance(data, dict):
         raise BadSplitFile(f"{path}: expected a JSON object of key -> label")
     out = {}

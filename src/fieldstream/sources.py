@@ -15,11 +15,10 @@ source is a ParseError naming the file and the line of the first bad byte.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from collections.abc import Mapping
 
-from .cache import json_error
+from .cache import parse_json
 from .errors import NotAnObject, ParseError, RaggedRow, UnknownClass
 from .record import Record, check_name
 from .stream import Datastream
@@ -170,23 +169,15 @@ def jsonstream(path) -> Datastream:
                 first = next((line for line in fh if line.strip()), "")
                 fh.seek(0)
                 if first.lstrip().startswith("["):
-                    text = fh.read()  # outside the try: a UnicodeDecodeError is a ValueError, for the outer handler
-                    try:
-                        data = json.loads(text)
-                    except ValueError as e:
-                        e = json_error(e, text)
-                        raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+                    data = parse_json(fh.read(), ParseError, f"{path}:")
                     for i, obj in enumerate(data):
                         yield record_of(obj, f"{path}[{i}]")
                 else:
+                    where = f"{path}:"
                     for lineno, line in enumerate(fh, start=1):
                         if not line.strip():
                             continue
-                        try:
-                            obj = json.loads(line.rstrip("\r\n"))
-                        except ValueError as e:
-                            e = json_error(e, line)
-                            raise ParseError(f"{path}:{lineno}:{e.colno}: {e.msg}") from None
+                        obj = parse_json(line.rstrip("\r\n"), ParseError, where, lineno)
                         yield record_of(obj, f"{path}:{lineno}")
         except UnicodeDecodeError as e:
             raise _not_utf8(path, e) from None

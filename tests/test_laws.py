@@ -1,8 +1,11 @@
 """bind_field and the three algebraic law checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldstream import (
+    EvalStrategy,
     MissingField,
     Record,
     apply,
@@ -11,6 +14,7 @@ from fieldstream import (
     check_associativity,
     check_left_identity,
     check_right_identity,
+    delfield,
     records_equal,
 )
 from fieldstream.stream import Datastream
@@ -173,3 +177,43 @@ def test_law_inputs_are_not_consumed_destructively(rng):
     check_associativity(rows, "u", "v", "w", lambda x: x, lambda x: x)
     # clones protected the originals from the applies
     assert rows[0].to_dict() == {"u": 1, "keep": "yes"}
+
+
+# associativity under the lazy strategies ------------------------------------------------
+
+@pytest.mark.parametrize("strategy", [EvalStrategy.LAZY_MEMOIZED, EvalStrategy.ON_DEMAND])
+def test_associativity_delete_form_fails_under_lazy_strategies(strategy):
+    # w's thunk reads v when forced, and delfield removed v before that
+    out = as_list(
+        ds(recs([{"u": 1}, {"u": 2}]))
+        | apply("u", "v", lambda x: x + 1, strategy=strategy)
+        | apply("v", "w", lambda x: x * 2, strategy=strategy)
+        | delfield("v")
+    )
+    with pytest.raises(MissingField) as err:
+        out[0].get_field("w")
+    assert err.value.name == "v"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from(list(EvalStrategy)),
+    piped=st.booleans(),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_associativity_with_v_projected_away_holds_under_every_strategy(strategy, piped, rnd):
+    kind = random_kind(rnd)
+    f, mid_kind = random_unary_chain(rnd, kind, 1)
+    g, _ = random_unary_chain(rnd, mid_kind, rnd.randrange(1, 3))
+    rows = [random_law_record(rnd, "u", kind, forbidden=("v", "w")) for _ in range(rnd.randrange(0, 6))]
+
+    def chain(steps, how):
+        s = ds([r.clone() for r in rows])
+        for src, dst, fn in steps:
+            s = s | apply(src, dst, fn, strategy=how) if piped else apply(s, src, dst, fn, how)
+        return as_list(s)
+
+    left = chain([("u", "v", f), ("v", "w", g)], strategy)
+    # the composed side is the EAGER reference, so a lazy stage that shares or misreads a cell fails too
+    right = chain([("u", "w", lambda x: g(f(x)))], EvalStrategy.EAGER)
+    assert [{k: x for k, x in r.to_dict().items() if k != "v"} for r in left] == [r.to_dict() for r in right]
