@@ -46,7 +46,7 @@ windows = (
     | fs.as_list
 )
 for t in windows:
-    print("window:", t.to_nested())
+    print("window:", list(t.data))
 
 # shard(k, n): keep every n-th element with remainder k. Worker k of n runs
 # the same script; together the workers cover the stream exactly once.

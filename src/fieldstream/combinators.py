@@ -88,6 +88,8 @@ def delfield(s, names) -> Datastream:
     afterwards raises MissingField for the deleted name.
     """
     wanted = field_list(names)
+    if len(set(wanted)) < len(wanted):
+        raise ValueError(f"delfield names must not repeat, got {names!r}")
     it = claim_iter(s)
 
     def gen():

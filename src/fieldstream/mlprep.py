@@ -159,13 +159,15 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
     p, train otherwise; a pair ``(valid_fraction, test_fraction)``
     splits three ways. Draws come from a seeded generator in arrival
     order, so the assignment depends only on the seed and position,
-    never on field values. With ``split_file``: an existing file is
+    never on field values. With a ``split_file`` path: an existing file is
     loaded when the stage is built (BadSplitFile if malformed) and
     applied by ``key_field`` (a key absent from the file raises
     UnlistedKey); a missing file is computed and then written.
     """
     valid, test = _normalize_fractions(split_value)
     check_name(key_field)
+    if split_file is not None:
+        split_file = os.fspath(split_file)
     stream = ensure_stream(s)
     if split_file is not None and os.path.exists(split_file):
         table = _load_split_file(split_file)

@@ -14,7 +14,7 @@ Combinators decorated with :func:`pipeable` support both call shapes::
 
 Either way the stage is lazy: composing performs zero upstream pulls.
 A list or tuple first is the stream only if the call cannot also read
-as a stage; one that binds both ways raises TypeError.
+as a stage; a call that binds both ways, or neither, raises TypeError.
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ def _run_stage(stream: Datastream, stage):
 
 
 def _is_stream_like(x) -> bool:
-    if isinstance(x, Datastream):
-        return True
     return isinstance(x, Iterable) and not isinstance(x, (str, bytes, Mapping))
 
 
@@ -143,13 +141,18 @@ class _Pipeable:
         return self.__wrapped__(upstream, *args, **kwargs)
 
     def __call__(self, *args, **kwargs):
-        if args and _is_stream_like(args[0]) and self._binds_fully(args, kwargs):
-            if not isinstance(args[0], (Datastream, Iterator)) and self._binds_fully((None,) + args, kwargs):
-                stream, first = self._params[:2]
-                raise TypeError(f"ambiguous call to {self.__name__}(): the first argument binds as both "
-                                f"{stream!r} (run now) and {first!r} (a stage for |); pass iter(...) or use keywords")
-            return self._build(args[0], args[1:], kwargs)
-        return _BoundStage(self, args, kwargs)
+        head = args[0] if args else None
+        runs = _is_stream_like(head) and self._binds_fully(args, kwargs)
+        stage = not isinstance(head, (Datastream, Iterator)) and self._binds_fully((None,) + args, kwargs)
+        if runs and stage:
+            stream, first = self._params[:2]
+            raise TypeError(f"ambiguous call to {self.__name__}(): the first argument binds as both "
+                            f"{stream!r} (run now) and {first!r} (a stage for |); pass iter(...) or use keywords")
+        if runs:
+            return self._build(head, args[1:], kwargs)
+        if stage:
+            return _BoundStage(self, args, kwargs)
+        raise TypeError(f"{self.__name__}() arguments bind neither after a stream passed first nor as a stage for |")
 
     def __ror__(self, upstream):
         return self._build(upstream, (), {})

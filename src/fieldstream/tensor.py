@@ -56,18 +56,6 @@ class Tensor:
     def size(self) -> int:
         return len(self._data)
 
-    def to_nested(self):
-        """The data as nested lists, one level per dimension; a scalar comes back as a float."""
-
-        def build(shape, offset):
-            if not shape:
-                return self._data[offset]
-            head, *rest = shape
-            step = math.prod(rest)
-            return [build(rest, offset + i * step) for i in range(head)]
-
-        return build(list(self._shape), 0)
-
     @staticmethod
     def stack(tensors: Sequence["Tensor"]) -> "Tensor":
         """Stack equal-shaped tensors along a new leading axis."""

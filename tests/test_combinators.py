@@ -124,6 +124,7 @@ _BAD_NAME_STAGES = {
     "apply_batch": lambda tmp: apply_batch("x", None, lambda vs: vs, 2),
     "apply_cached": lambda tmp: apply_cached("x", "", str, tmp),
     "delfield": lambda tmp: delfield(["x", ""]),
+    "delfield-repeat": lambda tmp: delfield(["x", "x"]),
     "sliding_window": lambda tmp: sliding_window(fields=["x", 7], size=2),
     "as_batch": lambda tmp: as_batch(feature_fields=["x", ""], label_field="x", batch_size=2),
     "select_field": lambda tmp: select_field(["x", None]),

@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import os
 import pickle
 import random
 import re
@@ -240,6 +241,17 @@ def test_bad_split_file_fails_when_composed(tmp_path, content, tail):
         source.stream() | datasplit(0.5, seed=1, split_file=bad)
     assert str(exc.value).startswith(f"{bad}: ") and str(exc.value).endswith(tail)
     assert source.pulls == 0
+
+
+def test_split_file_as_a_file_descriptor_fails_when_composed(tmp_path):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"f0000": "train"}))
+    fd = os.open(path, os.O_RDONLY)
+    source = CountingSource(named(1))
+    with pytest.raises(TypeError):
+        source.stream() | datasplit(0.5, split_file=fd)
+    assert source.pulls == 0
+    os.close(fd)  # raises EBADF had datasplit read the table through open(fd) and closed it
 
 
 # stratify ----------------------------------------------------------------------------

@@ -364,11 +364,11 @@ def test_every_call_form_builds_its_stage_in_one_place(run, stage, monkeypatch):
 _RECS = [Record(x=1.0, filename="a.jpg", split=SplitLabel.TRAIN)]
 _F = lambda v: v  # noqa: E731
 
-NOW, STAGE, AMBIGUOUS = "now", "stage", "ambiguous"
+NOW, STAGE, AMBIGUOUS, NEITHER = "now", "stage", "ambiguous", "neither"
 
-# Each exported @pipeable called with a list or tuple first: run now (only the
-# stream reading binds), build a stage (only the stage reading binds), or raise
-# (both bind).
+# Each exported @pipeable called with a list or tuple first, and the calls that
+# bind no way at all: run now (only the stream reading binds), build a stage
+# (only the stage reading binds), or raise (both bind, or neither does).
 LIST_FIRST_CALLS = [
     ("pipe", (_RECS, _F), {}, NOW),
     ("pipe", ([_F],), {}, STAGE),
@@ -414,6 +414,14 @@ LIST_FIRST_CALLS = [
     ("apply_cached", (_RECS, "x", "y", _F, "cache"), {}, AMBIGUOUS),
     ("apply_cached", (_RECS, "x", "y", _F), {"cache_dir": "cache"}, NOW),
     ("bind_field", (_RECS, "x", lambda v: Record(y=v)), {}, NOW),
+    ("count", (5,), {}, NEITHER),
+    ("as_list", (None,), {}, NEITHER),
+    ("as_list", ({"a": 1},), {}, NEITHER),
+    ("take", (), {"s": _RECS, "n": 2}, NEITHER),
+    ("take", (1, 2, 3), {}, NEITHER),
+    ("take", (iter(_RECS),), {}, NEITHER),
+    ("take", (), {"m": 3}, NEITHER),
+    ("apply", ("a",), {}, NEITHER),
 ]
 
 
@@ -452,20 +460,26 @@ def test_list_first_table_covers_every_exported_pipeable():
     assert {name for name, *_ in LIST_FIRST_CALLS} == exported
 
 
+def _dispatch(stage, args, kwargs) -> str:
+    """NOW or STAGE by the result, AMBIGUOUS or NEITHER by a TypeError that names the function."""
+    try:
+        result = stage(*args, **kwargs)
+    except TypeError as e:
+        if str(e).startswith(f"ambiguous call to {stage.__name__}()"):
+            return AMBIGUOUS
+        if str(e).startswith(f"{stage.__name__}() arguments bind neither"):
+            return NEITHER
+        raise
+    return STAGE if isinstance(result, _BoundStage) else NOW
+
+
 @pytest.mark.parametrize(
     "name, args, kwargs, outcome", LIST_FIRST_CALLS,
     ids=[f"{c[0]}-{c[3]}-{i}" for i, c in enumerate(LIST_FIRST_CALLS)],
 )
 def test_list_first_call_dispatch(name, args, kwargs, outcome, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # apply_cached makes its relative "cache" directory when built
-    stage = getattr(fieldstream, name)
-    if outcome == AMBIGUOUS:
-        with pytest.raises(TypeError, match=f"ambiguous call to {name}\\(\\)"):
-            stage(*args, **kwargs)
-    elif outcome == STAGE:
-        assert isinstance(stage(*args, **kwargs), _BoundStage)
-    else:
-        assert not isinstance(stage(*args, **kwargs), _BoundStage)
+    assert _dispatch(getattr(fieldstream, name), args, kwargs) == outcome
 
 
 def test_ambiguous_call_names_both_readings():
@@ -477,16 +491,6 @@ def test_ambiguous_call_names_both_readings():
         as_batch(["x", "z"], "y", 2)
     assert isinstance(datasplit(iter(_RECS), 0.5), Datastream)
     assert isinstance(datasplit(Datastream(_RECS), 0.5), Datastream)
-
-
-def _dispatch(stage, args, kwargs) -> str:
-    try:
-        result = stage(*args, **kwargs)
-    except TypeError as e:
-        if "ambiguous call" not in str(e):
-            raise
-        return AMBIGUOUS
-    return STAGE if isinstance(result, _BoundStage) else NOW
 
 
 @pytest.mark.parametrize(
@@ -522,6 +526,36 @@ def test_binds_fully_agrees_with_signature_bind(name):
                 except TypeError:
                     expected = False
                 assert stage._binds_fully(args, kwargs) == expected, (n, keywords)
+
+
+# Calls that bind neither way, given the stream s and the iterator it wraps.
+_NEITHER_CALLS = [
+    pytest.param("count", lambda s, it: count(5), id="count(5)"),
+    pytest.param("as_list", lambda s, it: as_list(None), id="as_list(None)"),
+    pytest.param("as_list", lambda s, it: as_list({"a": 1}), id="as_list(mapping)"),
+    pytest.param("take", lambda s, it: take(s=s, n=2), id="take(s=s, n=2)"),
+    pytest.param("take", lambda s, it: take(1, 2, 3), id="take(1, 2, 3)"),
+    pytest.param("take", lambda s, it: take(it), id="take(iter)"),
+    pytest.param("take", lambda s, it: take(m=3), id="take(m=3)"),
+    pytest.param("apply", lambda s, it: apply("a"), id="apply(a)"),
+] + [
+    param
+    for name in _EXPORTED_PIPEABLES if getattr(fieldstream, name)._required > 1
+    for param in [pytest.param(name, lambda s, it, name=name: s | getattr(fieldstream, name), id=f"s | {name}"),
+                  pytest.param(name, lambda s, it, name=name: pipe(s, getattr(fieldstream, name)), id=f"pipe(s, {name})")]
+]
+
+
+@pytest.mark.parametrize("name, call", _NEITHER_CALLS)
+def test_call_that_binds_neither_way_raises_at_the_call(name, call):
+    source = CountingSource(recs(_ROWS))
+    it = iter(source)
+    s = Datastream(it)
+    with pytest.raises(TypeError, match=f"^{name}\\(\\) arguments bind neither after a stream passed first "
+                                        "nor as a stage for \\|$"):
+        call(s, it)
+    assert source.pulls == 0
+    assert [r.to_dict() for r in s | as_list] == _ROWS
 
 
 def _varargs(s, *rest): ...
