@@ -33,6 +33,8 @@ warm = pipeline()
 print("warm run computed:", len(invocations) - 3, "new features (loaded from disk)")
 print("values identical:", [r["feat"] for r in cold] == [r["feat"] for r in warm])
 
-# One JSON file per (field, key); slashes in keys are percent-encoded.
+# One file per (field, key); slashes in keys are percent-encoded. Each file is
+# a JSON header line, then the tensor data as little-endian float64 bytes.
 for p in sorted((cache_dir / "feat").iterdir()):
-    print("cache file:", p.name, "->", p.read_text())
+    header, data = p.read_bytes().split(b"\n", 1)
+    print("cache file:", p.name, "->", header.decode("utf-8"), "+", len(data), "data bytes")

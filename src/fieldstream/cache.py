@@ -1,17 +1,23 @@
 """Disk-backed apply: compute a field once, persist it, reload next run.
 
-Cache files are UTF-8 JSON with a one-field version envelope::
+A cache file (format 3) is a UTF-8 JSON header line, then a data section::
 
-    {"v": 2, "value": <encoded value>}
+    {"v":3,"value":<encoded value>}
+    <tensor data>
 
 Scalars encode natively; lists and maps recurse. A tensor encodes as
-``{"t": "tensor", "shape": [...], "f64": "<base64>"}``, its data as
-little-endian float64, so it round-trips bit for bit (scalar floats are
-shortest decimals, and a scalar NaN comes back as the default NaN). A
-map whose keys are exactly ``t``, ``shape`` and ``f64`` with
-``t == "tensor"`` decodes as a tensor; avoid that combination. Format 1
-files (``"v": 1``), whose tensors are the CLI's decimal ``"data"``
-layout, are still read; each version recognizes only its own layout.
+``{"t":"tensor","shape":[...],"f64":<offset>}`` with its data in the data
+section as little-endian float64, so it round-trips bit for bit (scalar
+floats are shortest decimals, and a scalar NaN comes back as the default
+NaN). Offsets run on from 0 in header order and use up the data section
+exactly. Compact JSON escapes every newline in a string, so the first
+newline byte ends the header. Encoding a map whose keys are exactly
+``t``, ``shape`` and ``f64`` with ``t == "tensor"`` raises TypeError, as
+it would read back as a tensor. Format 2 (one JSON document whose
+tensors hold base64 text in ``"f64"``) and format 1 (tensors in the
+CLI's decimal ``"data"`` layout) are still read; each version recognizes
+only its own tensor layout. A fieldstream older than format 3 raises
+CacheCorrupt on a format 3 file.
 
 Layout on disk is ``cache_dir/<dst>/<encoded key>.json`` where the key
 is the record's key field with every byte outside ``[A-Za-z0-9._-]``
@@ -21,9 +27,7 @@ cut to its first 185 bytes, then ``~`` and the sha256 hex of the key.
 separator are refused when the stage is built. Writes go through a
 temp file and an atomic rename, so concurrent processes sharing a cache
 directory never observe a partial file. A file that exists but fails to decode raises
-CacheCorrupt naming the path; it is never silently recomputed. A file
-holding one tensor, byte for byte as ``encode_value`` writes it, is
-decoded without the JSON parser; every other file is parsed as JSON.
+CacheCorrupt naming the path; it is never silently recomputed.
 """
 
 from __future__ import annotations
@@ -83,12 +87,6 @@ def _data_obj(t: Tensor) -> dict:
     return _tensor_obj(list(t.shape), list(t.data))
 
 
-def _f64_obj(t: Tensor) -> dict:
-    """The cache format 2 layout of a tensor: base64 of its data as little-endian float64."""
-    raw = struct.Struct(f"<{t.size}d").pack(*t.data)  # struct.pack(fmt, *data) would copy the data tuple twice
-    return {"t": "tensor", "shape": list(t.shape), "f64": base64.b64encode(raw).decode("ascii")}
-
-
 def _not_encodable(value) -> TypeError:
     return TypeError(f"{type(value).__name__} is not an encodable value")
 
@@ -124,6 +122,8 @@ class _Encoder:
 _ENCODER = _Encoder(", ", ": ", _encode_default)
 # Writes exactly what json.dumps(payload, ensure_ascii=False, separators=(",", ":")) writes.
 _COMPACT_ENCODER = _Encoder(",", ":", json.JSONEncoder().default)
+# The keys of a tensor map in the "f64" layout of cache formats 2 and 3.
+_F64_KEYS = frozenset(("t", "shape", "f64"))
 
 
 def to_jsonable(value: Value, tensor=_data_obj):
@@ -135,6 +135,8 @@ def to_jsonable(value: Value, tensor=_data_obj):
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v, tensor) for v in value]
     if isinstance(value, dict):
+        if value.keys() == _F64_KEYS and value["t"] == "tensor":
+            raise TypeError(f"map {value!r} would read back as a tensor: keys t, shape and f64 with t 'tensor'")
         out = {}
         for k, v in value.items():
             if not isinstance(k, str):
@@ -157,59 +159,37 @@ def _tensor_from_data(obj: dict) -> Tensor | None:
         raise CacheCorrupt(str(e)) from None
 
 
-def _tensor_from_f64(obj: dict) -> Tensor | None:
-    """The tensor an ``"f64"`` layout map encodes; None for any other map."""
-    if obj.keys() != {"t", "shape", "f64"} or obj["t"] != "tensor":
-        return None
-    shape, f64 = obj["shape"], obj["f64"]
-    if not isinstance(shape, list) or not isinstance(f64, str):
-        raise CacheCorrupt("tensor shape must be an array and f64 text")
+def _f64_layout(tensor_bytes):
+    """A ``from_jsonable`` hook for the ``"f64"`` tensor layout of formats 2 and 3; ``tensor_bytes(f64,
+    nbytes)`` returns the data bytes a tensor's ``"f64"`` names (``nbytes`` of them in a sound file)."""
+
+    def tensor(obj: dict) -> Tensor | None:
+        if obj.keys() != _F64_KEYS or obj["t"] != "tensor":
+            return None
+        shape = obj["shape"]
+        if not isinstance(shape, list):
+            raise CacheCorrupt("tensor shape must be an array")
+        try:
+            shape = check_shape(shape)
+        except ValueError as e:
+            raise CacheCorrupt(f"bad tensor: {e}") from None
+        n = math.prod(shape)
+        raw = tensor_bytes(obj["f64"], 8 * n)
+        if len(raw) != 8 * n:
+            raise CacheCorrupt(f"tensor f64 holds {len(raw)} bytes, shape {shape} needs {8 * n}")
+        return Tensor._trusted(shape, struct.unpack(f"<{n}d", raw))
+
+    return tensor
+
+
+def _base64_bytes(f64, _nbytes: int) -> bytes:
+    """A format 2 tensor's data: its ``"f64"`` is the base64 text of the bytes."""
+    if not isinstance(f64, str):
+        raise CacheCorrupt("tensor f64 must be base64 text")
     try:
-        shape = check_shape(shape)
-        raw = base64.b64decode(f64, validate=True)
+        return base64.b64decode(f64, validate=True)
     except ValueError as e:  # binascii.Error is a ValueError
         raise CacheCorrupt(f"bad tensor: {e}") from None
-    return _f64_tensor(shape, raw)
-
-
-def _f64_tensor(shape: tuple[int, ...], raw: bytes) -> Tensor:
-    """The tensor of a valid ``shape`` whose data ``raw`` holds as little-endian float64;
-    a byte count the shape does not match raises CacheCorrupt."""
-    n = math.prod(shape)
-    if len(raw) != 8 * n:
-        raise CacheCorrupt(f"tensor f64 holds {len(raw)} bytes, shape {shape} needs {8 * n}")
-    return Tensor._trusted(shape, struct.unpack(f"<{n}d", raw))
-
-
-# What encode_value writes for a top-level tensor, around its dimensions and its base64 text.
-_TENSOR_HEAD = b'{"v":2,"value":{"t":"tensor","shape":['
-_TENSOR_MID = b'],"f64":"'
-_TENSOR_TAIL = b'"}}'
-_HEAD_LEN, _MID_LEN, _TAIL_LEN = len(_TENSOR_HEAD), len(_TENSOR_MID), len(_TENSOR_TAIL)
-
-
-def _top_level_tensor(blob: bytes) -> Tensor | None:
-    """The tensor ``blob`` holds if it is byte for byte what ``encode_value`` writes for one; else None.
-
-    Dimensions are JSON non-negative ints. The base64 alphabet holds no quote, backslash or
-    brace, so text that decodes is the whole of one JSON string with no escapes, and ``blob``
-    is the JSON that ``_tensor_from_f64`` would decode to the same tensor. Anything else, a
-    wrong byte count included, is left to the JSON parser and its messages.
-    """
-    if not (blob.startswith(_TENSOR_HEAD) and blob.endswith(_TENSOR_TAIL)):
-        return None
-    mid = blob.find(_TENSOR_MID, _HEAD_LEN, len(blob) - _TAIL_LEN)  # no overlap with the tail
-    if mid < 0:
-        return None
-    dims = blob[_HEAD_LEN:mid].split(b",") if mid > _HEAD_LEN else ()
-    for d in dims:
-        if not (d.isdigit() and (d[0] != 0x30 or len(d) == 1)):  # no sign, no leading zero
-            return None
-    try:
-        raw = base64.b64decode(blob[mid + _MID_LEN : -_TAIL_LEN], validate=True)
-        return _f64_tensor(tuple(map(int, dims)), raw)
-    except (ValueError, CacheCorrupt):
-        return None
 
 
 def from_jsonable(obj, tensor=_tensor_from_data) -> Value:
@@ -226,9 +206,15 @@ def from_jsonable(obj, tensor=_tensor_from_data) -> Value:
 
 
 def encode_value(value: Value) -> bytes:
-    """Serialize one value to the versioned UTF-8 JSON cache format (format 2)."""
-    payload = {"v": 2, "value": to_jsonable(value, _f64_obj)}
-    return _COMPACT_ENCODER.encode(payload).encode("utf-8")
+    """Serialize one value to cache format 3: its JSON header line, then its tensors' data."""
+    data = bytearray()
+
+    def f64(t: Tensor) -> dict:
+        data.extend(struct.Struct(f"<{t.size}d").pack(*t.data))  # struct.pack(fmt, *data) copies the tuple twice
+        return {"t": "tensor", "shape": list(t.shape), "f64": len(data) - 8 * t.size}
+
+    head = _COMPACT_ENCODER.encode({"v": 3, "value": to_jsonable(value, f64)})
+    return b"".join((head.encode("utf-8"), b"\n", data))
 
 
 # A JSON string, or a number with its integer digits, fraction and exponent as groups 1-3.
@@ -259,11 +245,15 @@ def parse_json(text: str, error: type[Exception], where: str, line: int = 1):
         raise error(f"{where}{line + e.lineno - 1}:{e.colno}: {e.msg}") from None
 
 
+_V3_HEAD = b'{"v":3,"value":'  # how encode_value starts a file: format 3 is read only from bytes that start so
+
+
 def decode_value(blob: bytes | str) -> Value:
-    """Parse cache format 1 or 2; any malformation raises CacheCorrupt."""
+    """Parse cache format 1, 2 or 3; any malformation raises CacheCorrupt."""
+    data = None
     if isinstance(blob, bytes):
-        if (t := _top_level_tensor(blob)) is not None:
-            return t
+        if blob.startswith(_V3_HEAD) and (end := blob.find(b"\n")) >= 0:
+            blob, data = blob[:end], blob[end + 1 :]
         try:
             blob = blob.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -271,9 +261,24 @@ def decode_value(blob: bytes | str) -> Value:
     payload = parse_json(blob, CacheCorrupt, "malformed JSON: ")
     if not isinstance(payload, dict) or "v" not in payload or "value" not in payload:
         raise CacheCorrupt("missing version envelope")
-    if payload["v"] not in (1, 2):
-        raise CacheCorrupt(f"unsupported version {payload['v']!r}")
-    return from_jsonable(payload["value"], _tensor_from_f64 if payload["v"] == 2 else _tensor_from_data)
+    version = payload["v"]
+    if type(version) is not int or version not in ((1, 2) if data is None else (3,)):
+        raise CacheCorrupt(f"unsupported version {version!r} in {'a JSON document' if data is None else 'a header'}")
+    if data is None:
+        return from_jsonable(payload["value"], _f64_layout(_base64_bytes) if version == 2 else _tensor_from_data)
+    used = 0
+
+    def tensor_bytes(offset, nbytes: int) -> bytes:
+        nonlocal used
+        if type(offset) is not int or offset != used:
+            raise CacheCorrupt(f"tensor f64 is {offset!r}, not the next data offset {used}")
+        used += nbytes
+        return data[offset:used]
+
+    value = from_jsonable(payload["value"], _f64_layout(tensor_bytes))
+    if used != len(data):
+        raise CacheCorrupt(f"data section holds {len(data)} bytes, its tensors {used}")
+    return value
 
 
 @contextmanager

@@ -7,14 +7,13 @@ import json
 import math
 import os
 import random
+import re
 import struct
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import fieldstream.cache
 from fieldstream import (
     CacheCorrupt,
     Tensor,
@@ -41,35 +40,71 @@ def f64_text(data) -> str:
     return base64.b64encode(struct.pack(f"<{len(data)}d", *data)).decode("ascii")
 
 
-def v2_oracle(value):
-    """Format 2 as the JSON data it stands for, built without the library's walk."""
+def with_tensors(value, tensor):
+    """``value`` as the JSON data it stands for, each tensor laid out by ``tensor``, built without
+    the library's walk; tensors are met in the order json.dumps writes them."""
     if isinstance(value, Tensor):
-        return {"t": "tensor", "shape": list(value.shape), "f64": f64_text(value.data)}
+        return tensor(value)
     if isinstance(value, (list, tuple)):
-        return [v2_oracle(v) for v in value]
+        return [with_tensors(v, tensor) for v in value]
     if isinstance(value, dict):
-        return {k: v2_oracle(v) for k, v in value.items()}
+        return {k: with_tensors(v, tensor) for k, v in value.items()}
     return value
 
 
+def compact_json(payload) -> bytes:
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def v2_oracle(value) -> bytes:
+    """Format 2 bytes, as encode_value wrote them before format 3."""
+    obj = with_tensors(value, lambda t: {"t": "tensor", "shape": list(t.shape), "f64": f64_text(t.data)})
+    return compact_json({"v": 2, "value": obj})
+
+
+def v3_oracle(value) -> bytes:
+    """Format 3 bytes: the header line, then each tensor's data in header order."""
+    data = []
+
+    def tensor(t):
+        data.append(struct.pack(f"<{t.size}d", *t.data))
+        return {"t": "tensor", "shape": list(t.shape), "f64": sum(map(len, data)) - 8 * t.size}
+
+    head = compact_json({"v": 3, "value": with_tensors(value, tensor)})
+    return head + b"\n" + b"".join(data)
+
+
 def test_encode_int_exact_bytes():
-    assert encode_value(3) == b'{"v":2,"value":3}'
+    assert encode_value(3) == b'{"v":3,"value":3}\n'
 
 
 def test_encode_tensor_exact_bytes():
     blob = encode_value(Tensor((2,), [1.0, 2.0]))
     # 1.0 and 2.0 as little-endian float64: 00..00 f0 3f and 00..00 00 40
-    assert blob == b'{"v":2,"value":{"t":"tensor","shape":[2],"f64":"AAAAAAAA8D8AAAAAAAAAQA=="}}'
+    data = bytes.fromhex("000000000000f03f" "0000000000000040")
+    assert blob == b'{"v":3,"value":{"t":"tensor","shape":[2],"f64":0}}\n' + data
 
 
 def test_encode_null_exact_bytes():
-    assert encode_value(None) == b'{"v":2,"value":null}'
+    assert encode_value(None) == b'{"v":3,"value":null}\n'
+
+
+def test_decode_v2_exact_bytes():
+    """The bytes format 2 wrote for 3, a tensor and None still decode."""
+    assert strict_equal(decode_value(b'{"v":2,"value":3}'), 3)
+    blob = b'{"v":2,"value":{"t":"tensor","shape":[2],"f64":"AAAAAAAA8D8AAAAAAAAAQA=="}}'
+    assert strict_equal(decode_value(blob), Tensor((2,), [1.0, 2.0]))
+    assert decode_value(b'{"v":2,"value":null}') is None
 
 
 def test_decode_rejects_other_versions():
-    for version in [b"3", b"0", b"-1", b'"2"', b"null", b"[2]"]:
+    for version in [b"4", b"0", b"-1", b'"2"', b"null", b"[2]", b"true", b"1.0", b"2.0"]:
         with pytest.raises(CacheCorrupt, match="unsupported version"):
             decode_value(b'{"v":' + version + b',"value":3}')
+    # format 3 is read only from bytes whose first line is its header
+    for blob in [b'{"v":3,"value":3}', encode_value(3).decode("utf-8"), b'{"v": 3,"value":3}\n']:
+        with pytest.raises(CacheCorrupt, match="unsupported version 3 in a JSON document"):
+            decode_value(blob)
 
 
 def test_decode_v1_scalars():
@@ -136,9 +171,14 @@ def test_round_trip_keeps_tensor_float_bits(data):
 @settings(max_examples=200)
 @given(values)
 def test_encode_matches_per_call_dumps(v):
-    payload = {"v": 2, "value": v2_oracle(v)}
-    oracle = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    assert encode_value(v) == oracle
+    assert encode_value(v) == v3_oracle(v)
+
+
+@settings(max_examples=200)
+@given(values)
+def test_decode_v2_as_written_before_v3(v):
+    """Format 2 bytes, as encode_value wrote them before format 3, still decode."""
+    assert strict_equal(decode_value(v2_oracle(v)), v)
 
 
 @settings(max_examples=200)
@@ -182,8 +222,8 @@ MALFORMED_V2_TENSORS = {
 }
 
 
-@pytest.mark.parametrize("blob", MALFORMED_V2_TENSORS.values(), ids=MALFORMED_V2_TENSORS.keys())
-def test_decode_rejects_malformed_v2_tensor(blob, tmp_path):
+def check_corrupt_names_path(blob, tmp_path):
+    """``blob`` raises CacheCorrupt from decode_value, and from apply_cached with the file's path."""
     with pytest.raises(CacheCorrupt):
         decode_value(blob)
     (tmp_path / "sq").mkdir()
@@ -193,7 +233,58 @@ def test_decode_rejects_malformed_v2_tensor(blob, tmp_path):
     assert str(tmp_path / "sq" / "f0.json") in str(exc.value)
 
 
-# a top-level tensor's bytes skip the JSON parser; text always takes it, so text is the oracle
+@pytest.mark.parametrize("blob", MALFORMED_V2_TENSORS.values(), ids=MALFORMED_V2_TENSORS.keys())
+def test_decode_rejects_malformed_v2_tensor(blob, tmp_path):
+    check_corrupt_names_path(blob, tmp_path)
+
+
+def v3_blob(value: bytes, data: bytes = b"") -> bytes:
+    return b'{"v":3,"value":' + value + b"}\n" + data
+
+
+def one_tensor(f64: bytes, shape: bytes = b"[1]") -> bytes:
+    return b'{"t":"tensor","shape":' + shape + b',"f64":' + f64 + b"}"
+
+
+ONE, TWO = struct.pack("<d", 1.0), struct.pack("<d", 2.0)
+MALFORMED_V3 = {
+    "cut-data-section": v3_blob(one_tensor(b"0", b"[2]"), ONE),
+    "cut-mid-float": v3_blob(one_tensor(b"0"), ONE[:5]),
+    "trailing-bytes": v3_blob(one_tensor(b"0"), ONE + b"\n"),
+    "data-but-no-tensor": v3_blob(b"3", ONE),
+    "no-header-line-end": b'{"v":3,"value":' + one_tensor(b"0") + b"}",
+    "f64-text": v3_blob(one_tensor(b'"0"'), ONE),
+    "f64-bool": v3_blob(one_tensor(b"false"), ONE),
+    "f64-float": v3_blob(one_tensor(b"0.0"), ONE),
+    "f64-null": v3_blob(one_tensor(b"null"), ONE),
+    "f64-negative": v3_blob(one_tensor(b"-8"), ONE),
+    "f64-not-from-0": v3_blob(one_tensor(b"8"), TWO + ONE),
+    "f64-out-of-order": v3_blob(b"[" + one_tensor(b"8") + b"," + one_tensor(b"0") + b"]", ONE + TWO),
+    "f64-repeated": v3_blob(b"[" + one_tensor(b"0") + b"," + one_tensor(b"0") + b"]", ONE + TWO),
+    "f64-gap": v3_blob(b"[" + one_tensor(b"0") + b"," + one_tensor(b"16") + b"]", ONE + TWO + TWO),
+    "negative-dimension": v3_blob(one_tensor(b"0", b"[-1]")),
+    "bool-dimension": v3_blob(one_tensor(b"0", b"[true]"), ONE),
+    "float-dimension": v3_blob(one_tensor(b"0", b"[1.0]"), ONE),
+    "shape-as-text": v3_blob(one_tensor(b"0", b'"1"'), ONE),
+    "non-UTF-8-header": v3_blob(b'"\xff"'),
+    "version-2-in-the-header": b'{"v":3,"value":3,"v":2}\n',
+}
+
+
+@pytest.mark.parametrize("blob", MALFORMED_V3.values(), ids=MALFORMED_V3.keys())
+def test_decode_rejects_malformed_v3(blob, tmp_path):
+    check_corrupt_names_path(blob, tmp_path)
+
+
+def test_v3_header_line_ends_at_its_first_newline():
+    """Newlines in text are escaped in the header; the data section may hold newline bytes."""
+    v = {"a\nb": ["\n", Tensor((2,), [struct.unpack("<d", b"\n" * 8)[0], 1.0])]}
+    blob = encode_value(v)
+    assert blob.count(b"\n") == 1 + 8 and blob.index(b"\n") == len(blob) - 17
+    assert strict_equal(decode_value(blob), v)
+
+
+# damaged files: format 2 bytes decode as their text does; format 3 framing damage is CacheCorrupt
 
 _F64_FLOATS = st.one_of(st.floats(width=64), st.sampled_from([-0.0, math.nan, NAN_PAYLOAD, -NAN_PAYLOAD]))
 _F64_TENSORS = st.lists(st.integers(min_value=0, max_value=3), max_size=3).flatmap(
@@ -250,7 +341,7 @@ def _decoded(blob):
         return type(e), str(e)
 
 
-@example(Tensor((0,), []), ("remove", -3, b" "))  # '"f64":"}}': the text's quote is also the tail's
+@example(Tensor((0,), []), ("remove", -3, b" "))  # '"f64":"}}': the base64 text's closing quote removed
 @example(Tensor((0, 2), []), ("none", 0, b" "))
 @example(Tensor((), [-0.0]), ("19-digits", 0, b" "))
 @example(Tensor((2,), [NAN_PAYLOAD, -0.0]), ("escape", 0, b" "))
@@ -260,7 +351,7 @@ def _decoded(blob):
 @settings(max_examples=400)
 @given(_CACHE_VALUES, _MUTATIONS)
 def test_decode_of_bytes_matches_decode_of_text(v, mutation):
-    blob = _mutate(encode_value(v), *mutation)
+    blob = _mutate(v2_oracle(v), *mutation)
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError:  # a removed byte split a character: only bytes can hold that
@@ -274,16 +365,46 @@ def test_decode_of_bytes_matches_decode_of_text(v, mutation):
         assert strict_equal(got, want)
 
 
-@pytest.mark.parametrize("t", [Tensor((), [1.5]), Tensor((0, 2), []), Tensor((2, 1), [NAN_PAYLOAD, -0.0])])
-def test_top_level_tensor_bytes_skip_the_json_parser(t, monkeypatch):
-    def loads(_text):
-        raise AssertionError("json.loads called")
+def _damage_v3(blob: bytes, kind: str, i: int, extra: bytes) -> bytes:
+    """``blob``, a format 3 file, with its framing damaged as ``kind`` says; ``i`` picks a position."""
+    head = blob.index(b"\n")
+    if kind == "truncate":
+        return blob[: i % len(blob)]
+    if kind == "split-header":  # a newline in the header line, or just before its own
+        i %= head + 1
+        return blob[:i] + b"\n" + blob[i:]
+    if kind == "insert-data":  # at the header's line end or in the data section
+        i = head + i % (len(blob) - head + 1)
+        return blob[:i] + extra + blob[i:]
+    if kind == "remove-data":  # the header's line end or a data byte
+        i = head + i % (len(blob) - head)
+        return blob[:i] + blob[i + 1 :]
+    if kind == "version":
+        return blob.replace(b'"v":3', b'"v":' + extra, 1)
+    if kind == "offset":  # the first tensor's offset
+        return re.sub(rb'("shape":\[[0-9,]*\],"f64":)[0-9]+', lambda m: m[1] + extra, blob, count=1)
+    return blob
 
-    monkeypatch.setattr(fieldstream.cache, "json", SimpleNamespace(loads=loads, JSONDecodeError=json.JSONDecodeError))
-    assert strict_equal(decode_value(encode_value(t)), t)
-    for other in [encode_value(t).decode("utf-8"), encode_value([t])]:  # text, or a tensor inside a list
-        with pytest.raises(AssertionError, match="json.loads called"):
-            decode_value(other)
+
+_V3_DAMAGE = st.tuples(
+    st.sampled_from(["none", "truncate", "split-header", "insert-data", "remove-data", "version", "offset"]),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from([b" ", b"\n", b"x", b"\x00" * 8, b"0", b"2", b"8", b"-8", b"true", b"3.0", b'"0"']),
+)
+
+
+@example(Tensor((0,), []), ("version", 0, b"2"))  # the whole file is a format 2 document whose f64 is no text
+@example([Tensor((0, 2), []), Tensor((1,), [1.0])], ("offset", 0, b"8"))
+@example(Tensor((2,), [NAN_PAYLOAD, -0.0]), ("remove-data", 0, b" "))  # the line end
+@settings(max_examples=400)
+@given(_CACHE_VALUES, _V3_DAMAGE)
+def test_damaged_v3_file_is_itself_or_corrupt(v, damage):
+    """A format 3 file with damaged framing decodes to the value it held, or raises CacheCorrupt."""
+    try:
+        got = decode_value(_damage_v3(encode_value(v), *damage))
+    except CacheCorrupt:
+        return
+    assert strict_equal(got, v)
 
 
 def test_encode_rejects_non_values():
@@ -291,6 +412,18 @@ def test_encode_rejects_non_values():
         encode_value({1: "non-string key"})
     with pytest.raises(TypeError):
         encode_value(object())
+
+
+def test_encode_refuses_a_map_that_reads_back_as_a_tensor(tmp_path):
+    tensor_like = {"t": "tensor", "shape": [1], "f64": f64_text([1.0])}
+    for v in [tensor_like, [{"a": tensor_like}], {**tensor_like, "f64": 0}]:
+        with pytest.raises(TypeError, match="would read back as a tensor"):
+            encode_value(v)
+    for v in [{**tensor_like, "x": 0}, {**tensor_like, "t": "other"}]:  # one key more, or another t
+        assert strict_equal(decode_value(encode_value(v)), v)
+    with pytest.raises(TypeError, match="would read back as a tensor"):
+        as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: tensor_like, tmp_path))
+    assert os.listdir(tmp_path / "sq") == []
 
 
 # the prebuilt encoders against the stdlib ----------------------------------------
@@ -463,7 +596,7 @@ def test_cache_path_that_is_a_directory_names_it(tmp_path):
 
 def test_tensor_file_of_many_read_chunks_comes_back_warm(tmp_path):
     rng = random.Random(14)
-    data = [rng.uniform(-1e6, 1e6) for _ in range(20_000)] + [-0.0, NAN_PAYLOAD, 5e-324]
+    data = [rng.uniform(-1e6, 1e6) for _ in range(30_000)] + [-0.0, NAN_PAYLOAD, 5e-324]
     calls = []
 
     def f(v):
@@ -524,10 +657,13 @@ def test_no_temp_files_left_behind(tmp_path):
 
 
 def test_cache_file_is_valid_json(tmp_path):
-    t = Tensor((1,), [-0.0])
-    as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: {"nested": [v, t]}, tmp_path))
-    payload = json.loads((tmp_path / "sq" / "f0.json").read_text(encoding="utf-8"))
-    assert payload == {"v": 2, "value": {"nested": [0, {"t": "tensor", "shape": [1], "f64": f64_text([-0.0])}]}}
+    """A cache file's first line is JSON; the rest is its tensors' data, 8 bytes per element."""
+    t, u = Tensor((1,), [-0.0]), Tensor((2, 1), [NAN_PAYLOAD, 1.0])
+    as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: {"nested": [v, t, u]}, tmp_path))
+    head, data = (tmp_path / "sq" / "f0.json").read_bytes().split(b"\n", 1)
+    tensors = [{"t": "tensor", "shape": [1], "f64": 0}, {"t": "tensor", "shape": [2, 1], "f64": 8}]
+    assert json.loads(head) == {"v": 3, "value": {"nested": [0, *tensors]}}
+    assert data == struct.pack("<3d", -0.0, NAN_PAYLOAD, 1.0)
 
 
 def test_v1_cache_directory_is_read_warm(tmp_path):
