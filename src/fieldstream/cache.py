@@ -11,13 +11,15 @@ section as little-endian float64, so it round-trips bit for bit (scalar
 floats are shortest decimals, and a scalar NaN comes back as the default
 NaN). Offsets run on from 0 in header order and use up the data section
 exactly. Compact JSON escapes every newline in a string, so the first
-newline byte ends the header. Encoding a map whose keys are exactly
-``t``, ``shape`` and ``f64`` with ``t == "tensor"`` raises TypeError, as
-it would read back as a tensor. Format 2 (one JSON document whose
-tensors hold base64 text in ``"f64"``) and format 1 (tensors in the
-CLI's decimal ``"data"`` layout) are still read; each version recognizes
-only its own tensor layout. A fieldstream older than format 3 raises
-CacheCorrupt on a format 3 file.
+newline byte ends the header. A process parses and checks each distinct
+header once, into a decode plan kept in a bounded memo; a later file with
+that header only has its length checked and its tensors read. Encoding a
+map whose keys are exactly ``t``, ``shape`` and ``f64`` with
+``t == "tensor"`` raises TypeError, as it would read back as a tensor.
+Format 2 (one JSON document whose tensors hold base64 text in ``"f64"``)
+and format 1 (tensors in the CLI's decimal ``"data"`` layout) are still
+read; each version recognizes only its own tensor layout. A fieldstream
+older than format 3 raises CacheCorrupt on a format 3 file.
 
 Layout on disk is ``cache_dir/<dst>/<encoded key>.json`` where the key
 is the record's key field with every byte outside ``[A-Za-z0-9._-]``
@@ -33,6 +35,7 @@ CacheCorrupt naming the path; it is never silently recomputed.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 import os
@@ -159,37 +162,38 @@ def _tensor_from_data(obj: dict) -> Tensor | None:
         raise CacheCorrupt(str(e)) from None
 
 
-def _f64_layout(tensor_bytes):
-    """A ``from_jsonable`` hook for the ``"f64"`` tensor layout of formats 2 and 3; ``tensor_bytes(f64,
-    nbytes)`` returns the data bytes a tensor's ``"f64"`` names (``nbytes`` of them in a sound file)."""
-
-    def tensor(obj: dict) -> Tensor | None:
-        if obj.keys() != _F64_KEYS or obj["t"] != "tensor":
-            return None
-        shape = obj["shape"]
-        if not isinstance(shape, list):
-            raise CacheCorrupt("tensor shape must be an array")
-        try:
-            shape = check_shape(shape)
-        except ValueError as e:
-            raise CacheCorrupt(f"bad tensor: {e}") from None
-        n = math.prod(shape)
-        raw = tensor_bytes(obj["f64"], 8 * n)
-        if len(raw) != 8 * n:
-            raise CacheCorrupt(f"tensor f64 holds {len(raw)} bytes, shape {shape} needs {8 * n}")
-        return Tensor._trusted(shape, struct.unpack(f"<{n}d", raw))
-
-    return tensor
+def _f64_shape(obj: dict) -> tuple[int, ...] | None:
+    """The checked shape of a map in the ``"f64"`` tensor layout of formats 2 and 3; None for any other map."""
+    if obj.keys() != _F64_KEYS or obj["t"] != "tensor":
+        return None
+    shape = obj["shape"]
+    if not isinstance(shape, list):
+        raise CacheCorrupt("tensor shape must be an array")
+    try:
+        return check_shape(shape)
+    except ValueError as e:
+        raise CacheCorrupt(f"bad tensor: {e}") from None
 
 
-def _base64_bytes(f64, _nbytes: int) -> bytes:
-    """A format 2 tensor's data: its ``"f64"`` is the base64 text of the bytes."""
+def _wrong_size(shape: tuple[int, ...], held: int, needs: int) -> CacheCorrupt:
+    return CacheCorrupt(f"tensor f64 holds {held} bytes, shape {shape} needs {needs}")
+
+
+def _v2_tensor(obj: dict) -> Tensor | None:
+    """The ``from_jsonable`` hook of format 2, whose ``"f64"`` is the base64 text of a tensor's data."""
+    if (shape := _f64_shape(obj)) is None:
+        return None
+    f64 = obj["f64"]
     if not isinstance(f64, str):
         raise CacheCorrupt("tensor f64 must be base64 text")
     try:
-        return base64.b64decode(f64, validate=True)
+        raw = base64.b64decode(f64, validate=True)
     except ValueError as e:  # binascii.Error is a ValueError
         raise CacheCorrupt(f"bad tensor: {e}") from None
+    n = math.prod(shape)
+    if len(raw) != 8 * n:
+        raise _wrong_size(shape, len(raw), 8 * n)
+    return Tensor._trusted(shape, struct.unpack(f"<{n}d", raw))
 
 
 def from_jsonable(obj, tensor=_tensor_from_data) -> Value:
@@ -231,12 +235,23 @@ def _long_int_at(text: str) -> int:
                 if m[1] and len(m[1]) > limit and not (m[2] or m[3]))
 
 
+_SCAN = json.JSONDecoder().scan_once  # the scanner json.loads calls once its Python checks pass
+
+
 def parse_json(text: str, error: type[Exception], where: str, line: int = 1):
     """``json.loads(text)``; malformed JSON raises ``error("{where}{line}:{col}: {msg}")``.
 
-    ``line`` is the file line ``text`` starts on. ``json`` raises an integer past the
-    int-string digit limit with no position, so only this error path scans ``text`` for it.
+    ``line`` is the file line ``text`` starts on. Text that starts with its value and ends with it
+    or JSON whitespace is read by the scanner alone; anything else, every error included, goes
+    through ``json.loads``. ``json`` raises an integer past the int-string digit limit with no
+    position, so only this error path scans ``text`` for it.
     """
+    try:
+        value, end = _SCAN(text, 0)
+        if end == len(text) or not text[end:].strip(" \t\n\r"):
+            return value
+    except (StopIteration, TypeError, ValueError):  # not str, no value at 0, or malformed
+        pass
     try:
         return json.loads(text)
     except ValueError as e:
@@ -248,12 +263,9 @@ def parse_json(text: str, error: type[Exception], where: str, line: int = 1):
 _V3_HEAD = b'{"v":3,"value":'  # how encode_value starts a file: format 3 is read only from bytes that start so
 
 
-def decode_value(blob: bytes | str) -> Value:
-    """Parse cache format 1, 2 or 3; any malformation raises CacheCorrupt."""
-    data = None
+def _envelope(blob: bytes | str, versions: tuple[int, ...], where: str):
+    """The JSON value in the envelope ``{"v":<version>,"value":<value>}``, and its version, one of ``versions``."""
     if isinstance(blob, bytes):
-        if blob.startswith(_V3_HEAD) and (end := blob.find(b"\n")) >= 0:
-            blob, data = blob[:end], blob[end + 1 :]
         try:
             blob = blob.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -262,23 +274,79 @@ def decode_value(blob: bytes | str) -> Value:
     if not isinstance(payload, dict) or "v" not in payload or "value" not in payload:
         raise CacheCorrupt("missing version envelope")
     version = payload["v"]
-    if type(version) is not int or version not in ((1, 2) if data is None else (3,)):
-        raise CacheCorrupt(f"unsupported version {version!r} in {'a JSON document' if data is None else 'a header'}")
-    if data is None:
-        return from_jsonable(payload["value"], _f64_layout(_base64_bytes) if version == 2 else _tensor_from_data)
-    used = 0
+    if type(version) is not int or version not in versions:
+        raise CacheCorrupt(f"unsupported version {version!r} in {where}")
+    return payload["value"], version
 
-    def tensor_bytes(offset, nbytes: int) -> bytes:
-        nonlocal used
-        if type(offset) is not int or offset != used:
-            raise CacheCorrupt(f"tensor f64 is {offset!r}, not the next data offset {used}")
-        used += nbytes
-        return data[offset:used]
 
-    value = from_jsonable(payload["value"], _f64_layout(tensor_bytes))
-    if used != len(data):
-        raise CacheCorrupt(f"data section holds {len(data)} bytes, its tensors {used}")
-    return value
+class _Slot:
+    """A tensor in a decode plan: its shape, and where its data starts and ends in the file."""
+
+    __slots__ = ("shape", "start", "end", "fmt")
+
+    def __init__(self, shape: tuple[int, ...], start: int):
+        n = math.prod(shape)
+        self.shape, self.start, self.end = shape, start, start + 8 * n
+        self.fmt = f"<{n}d"  # text: struct compiles it only once the file is known to hold the data
+
+
+def _plan(header: bytes):
+    """The decode plan of a format 3 header line: the value with a :class:`_Slot` for each tensor,
+    its slots in header order, the length of the file that holds their data, and None.
+
+    A malformed envelope raises CacheCorrupt. A malformed tensor makes a plan of the slots before it,
+    no file length and the message, which every decode raises unless the file cuts one of those
+    slots short: a format 3 walk reads each tensor's data before it checks the next tensor.
+    """
+    value, _ = _envelope(header, (3,), "a header")
+    base = len(header) + 1  # the data section's first byte
+    slots = []
+
+    def slot(obj: dict) -> _Slot | None:
+        if (shape := _f64_shape(obj)) is None:
+            return None
+        start, offset = slots[-1].end if slots else base, obj["f64"]
+        if type(offset) is not int or offset != start - base:
+            raise CacheCorrupt(f"tensor f64 is {offset!r}, not the next data offset {start - base}")
+        slots.append(_Slot(shape, start))
+        return slots[-1]
+
+    try:
+        return from_jsonable(value, slot), slots, slots[-1].end if slots else base, None
+    except CacheCorrupt as e:
+        return None, slots, -1, str(e)
+
+
+# A process keeps the plans of at most _PLAN_MEMO distinct format 3 headers, the least recently
+# used dropped first, and only of headers up to _MEMO_HEADER bytes: a longer one (a value of many
+# scalars) is planned afresh on every decode, so the memo's size stays bounded in bytes too.
+_PLAN_MEMO = 128
+_MEMO_HEADER = 4096
+_memo_plan = functools.lru_cache(maxsize=_PLAN_MEMO)(_plan)
+
+
+def _fill(node, blob: bytes):
+    """A new value from a plan's skeleton: every list and dict rebuilt, every slot a tensor read from ``blob``."""
+    if type(node) is _Slot:
+        return Tensor._trusted(node.shape, struct.unpack_from(node.fmt, blob, node.start))
+    if type(node) is list:
+        return [_fill(v, blob) for v in node]
+    if type(node) is dict:
+        return {k: _fill(v, blob) for k, v in node.items()}
+    return node
+
+
+def decode_value(blob: bytes | str) -> Value:
+    """Parse cache format 1, 2 or 3; any malformation raises CacheCorrupt."""
+    if isinstance(blob, bytes) and blob.startswith(_V3_HEAD) and (end := blob.find(b"\n")) >= 0:
+        skeleton, slots, size, bad = (_memo_plan if end <= _MEMO_HEADER else _plan)(blob[:end])
+        if len(blob) != size:
+            if cut := next((s for s in slots if s.end > len(blob)), None):
+                raise _wrong_size(cut.shape, max(0, len(blob) - cut.start), cut.end - cut.start)
+            raise CacheCorrupt(bad or f"data section holds {len(blob) - end - 1} bytes, its tensors {size - end - 1}")
+        return _fill(skeleton, blob)
+    value, version = _envelope(blob, (1, 2), "a JSON document")
+    return from_jsonable(value, _v2_tensor if version == 2 else _tensor_from_data)
 
 
 @contextmanager

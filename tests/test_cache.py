@@ -23,7 +23,16 @@ from fieldstream import (
     encode_value,
     get_datastream,
 )
-from fieldstream.cache import _COMPACT_ENCODER, _ENCODER, _read_file, _tensor_obj, sanitize_key, to_jsonable
+from fieldstream import cache
+from fieldstream.cache import (
+    _COMPACT_ENCODER,
+    _ENCODER,
+    _read_file,
+    _tensor_obj,
+    parse_json,
+    sanitize_key,
+    to_jsonable,
+)
 
 from helpers import CountingSource, ds, random_value, recs, scalar_values, strict_equal, values
 
@@ -282,6 +291,111 @@ def test_v3_header_line_ends_at_its_first_newline():
     blob = encode_value(v)
     assert blob.count(b"\n") == 1 + 8 and blob.index(b"\n") == len(blob) - 17
     assert strict_equal(decode_value(blob), v)
+
+
+# decode plans: a format 3 header is parsed once, then its plan is kept in a bounded memo
+
+@pytest.mark.parametrize(
+    "shape, data, message",
+    [
+        (b"[2305843009213693952]", b"", "tensor f64 holds 0 bytes, shape (2305843009213693952,) needs 18446744073709551616"),
+        (b"[1000000000000]", ONE, "tensor f64 holds 8 bytes, shape (1000000000000,) needs 8000000000000"),
+    ],
+    ids=["product-past-a-struct-size", "product-past-the-data"],
+)
+def test_shape_larger_than_any_file_is_corrupt(shape, data, message, tmp_path):
+    """Raised as CacheCorrupt, not struct.error, OverflowError or MemoryError, on every decode."""
+    blob = v3_blob(one_tensor(b"0", shape), data)
+    for _ in range(2):
+        with pytest.raises(CacheCorrupt) as exc:
+            decode_value(blob)
+        assert str(exc.value) == message
+    check_corrupt_names_path(blob, tmp_path)
+
+
+def test_every_decode_builds_new_containers():
+    v = {"a": [1, Tensor((1,), [2.0]), {"b": []}], "c": {"d": "e"}}
+    blob = encode_value(v)
+    first = decode_value(blob)
+    first["a"].append(3)
+    first["a"][2]["b"].append(4)
+    first["c"]["d"] = "x"
+    first["f"] = 5
+    assert strict_equal(decode_value(blob), v)
+
+
+def test_a_header_that_raised_is_never_kept_as_good(tmp_path):
+    cache._memo_plan.cache_clear()
+    t = Tensor((2,), [1.0, 2.0])
+    good = encode_value(t)
+    victim = tmp_path / "sq" / "f0.json"
+    victim.parent.mkdir()
+    cut = (good[:-8], "tensor f64 holds 8 bytes, shape (2,) needs 16")
+    misplaced = (good.replace(b'"f64":0', b'"f64":8'), "tensor f64 is 8, not the next data offset 0")
+    for bad, message in (misplaced, cut):
+        victim.write_bytes(bad)
+        for _ in range(2):
+            with pytest.raises(CacheCorrupt) as exc:
+                as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: 1 / 0, tmp_path))
+            assert str(exc.value) == f"{victim}: {message}"
+        victim.write_bytes(good)
+        out = as_list(apply_cached(squares_stream(1), "x", "sq", lambda v: 1 / 0, tmp_path))
+        assert strict_equal(out[0].get_field("sq"), t)
+
+
+def test_a_kept_plan_over_other_data_raises_as_a_first_decode():
+    cache._memo_plan.cache_clear()
+    blob = encode_value([Tensor((2,), [1.0, 2.0]), Tensor((1,), [3.0])])
+    decode_value(blob)
+    head = blob.index(b"\n") + 1
+    cases = [
+        (blob[:-1], "tensor f64 holds 7 bytes, shape (1,) needs 8"),
+        (blob[: head + 8], "tensor f64 holds 8 bytes, shape (2,) needs 16"),
+        (blob[:head], "tensor f64 holds 0 bytes, shape (2,) needs 16"),
+        (blob + b"\x00", "data section holds 25 bytes, its tensors 24"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(CacheCorrupt) as exc:
+            decode_value(bad)
+        assert str(exc.value) == message
+    assert cache._memo_plan.cache_info().hits == len(cases)
+
+
+def test_a_first_decode_meets_cut_data_before_a_later_malformed_tensor():
+    """The walk reads each tensor's data before it checks the next tensor."""
+    two = b"[" + one_tensor(b"0", b"[2]") + b"," + one_tensor(b"16", b"[-1]") + b"]"
+    for data, message in [
+        (ONE, "tensor f64 holds 8 bytes, shape (2,) needs 16"),
+        (ONE + TWO, "bad tensor: bad tensor dimension -1"),
+    ]:
+        with pytest.raises(CacheCorrupt) as exc:
+            decode_value(v3_blob(two, data))
+        assert str(exc.value) == message
+
+
+def test_float_bits_survive_a_kept_plan():
+    cache._memo_plan.cache_clear()
+    t = Tensor((2, 2), [NAN_PAYLOAD, -NAN_PAYLOAD, -0.0, 5e-324])
+    other = Tensor((2, 2), [-0.0, math.nan, math.inf, NAN_PAYLOAD])  # the same header
+    for v in [t, t, other]:
+        assert strict_equal(decode_value(encode_value(v)), v)
+    assert cache._memo_plan.cache_info()[:2] == (2, 1)  # hits, misses
+
+
+def test_memo_stays_at_its_bound():
+    cache._memo_plan.cache_clear()
+    values = [{"i": i, "x": Tensor((i % 3,), [float(i)] * (i % 3))} for i in range(cache._PLAN_MEMO + 20)]
+    blobs = [encode_value(v) for v in values]
+    for _ in range(2):
+        for blob, v in zip(blobs, values):
+            assert strict_equal(decode_value(blob), v)
+        assert cache._memo_plan.cache_info().currsize == cache._PLAN_MEMO
+    long = [float(i) for i in range(cache._MEMO_HEADER // 4)] + [Tensor((1,), [1.0])]
+    blob = encode_value(long)
+    assert blob.index(b"\n") > cache._MEMO_HEADER
+    info = cache._memo_plan.cache_info()
+    assert strict_equal(decode_value(blob), long) and strict_equal(decode_value(blob), long)
+    assert cache._memo_plan.cache_info() == info  # planned on each decode, never looked up or kept
 
 
 # damaged files: format 2 bytes decode as their text does; format 3 framing damage is CacheCorrupt
@@ -746,3 +860,24 @@ def test_long_keys_get_distinct_file_names_that_fit(tmp_path):
     assert [len(os.fsencode(n)) for n in names] == [255, 255, 255, 255, 255, len("short.jpg.json")]
     assert names[1][:185] == names[2][:185] and names[1] != names[2]
     assert [n.count("~") for n in names] == [1, 1, 1, 0, 1, 0]
+
+
+_WRAPPINGS = st.sampled_from(["", " ", "\t\r\n ", "\n\n", "\ufeff", "\x0b", "\u00a0", "x", ",1", "]"])
+
+
+@example([1], "", "\x0b")  # whitespace to str.isspace, not to JSON
+@example("a", "", "\u00a0")
+@example(0, "", " \n")
+@example({}, "\ufeff", "")
+@given(_JSON_VALUES, _WRAPPINGS, _WRAPPINGS)
+def test_parse_json_is_json_loads(value, before, after):
+    """The same value, or the same message, as json.loads for a document between two wrappings."""
+    text = before + json.dumps(value, default=_tensor_default) + after
+    try:
+        want = json.loads(text)
+    except json.JSONDecodeError as e:
+        with pytest.raises(CacheCorrupt) as exc:
+            parse_json(text, CacheCorrupt, "at ", 3)
+        assert str(exc.value) == f"at {e.lineno + 2}:{e.colno}: {e.msg}"
+    else:
+        assert strict_equal(parse_json(text, CacheCorrupt, "at ", 3), want)
