@@ -48,7 +48,10 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
     check_callable(f, "apply function")
     read = reader(src)
     if strategy is not EvalStrategy.EAGER:
-        template = FieldCell(strategy, thunk=lambda record: f(read(record)))
+        if isinstance(src, str):  # the thunk reads its one source itself: a call less per force
+            template = FieldCell(strategy, thunk=lambda record: f(record.get_field(src)))
+        else:
+            template = FieldCell(strategy, thunk=lambda record: f(read(record)))
     it = claim_iter(s)
 
     def eager():

@@ -19,6 +19,7 @@ import re
 import sys
 from collections import Counter
 from enum import Enum
+from functools import partial
 
 from .cache import atomic_write_bytes, parse_json
 from .combinators import apply
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .record import Record, check_name
 from .stream import Datastream, check_count, chunks, claim_iter, ensure_stream, field_list, pipeable
-from .tensor import Tensor, _pinned_tensor, to_float
+from .tensor import Tensor, _pinned_tensor, _stacked, to_float
 
 __all__ = [
     "SplitLabel",
@@ -373,8 +374,12 @@ def as_batch(s, feature_fields, label_field: str, batch_size: int = 32) -> Datas
 
     Each listed feature field is stacked along a new leading axis
     (numeric scalars count as rank-0 tensors); labels must be numeric
-    scalars and stack to shape ``[batch]``. A finite stream ends with a
-    partial batch; an infinite stream yields batches forever.
+    scalars and stack to shape ``[batch]``. The first record's shape is
+    pinned per feature field for the whole stream: a later value of
+    another shape raises ShapeMismatch naming the field before that
+    field of any later record in the batch is read. A finite stream
+    ends with a partial batch; an infinite stream yields batches
+    forever.
     """
     check_count(batch_size, "batch_size")
     names = field_list(feature_fields)
@@ -383,9 +388,10 @@ def as_batch(s, feature_fields, label_field: str, batch_size: int = 32) -> Datas
 
     def gen():
         shapes: dict[str, tuple[int, ...]] = {}
+        pins = {name: partial(_pinned_tensor, shapes, name) for name in names}
         for chunk in chunks(it, batch_size):
             features = {
-                name: Tensor.stack([_pinned_tensor(shapes, name, r.get_field(name)) for r in chunk])
+                name: _stacked((r.get_field(name) for r in chunk), len(chunk), shapes.get(name), pins[name])
                 for name in names
             }
             values = [r.get_field(label_field) for r in chunk]

@@ -60,6 +60,11 @@ class EvalStrategy(Enum):
     ON_DEMAND = "on_demand"
 
 
+# Module-level aliases for the per-read comparisons: a member read through the class
+# costs several times a global lookup on CPython 3.11.
+_EAGER, _LAZY_MEMOIZED = EvalStrategy.EAGER, EvalStrategy.LAZY_MEMOIZED
+
+
 class FieldCell:
     """One field slot: strategy, stored value and/or thunk, eval counter."""
 
@@ -85,7 +90,7 @@ class FieldCell:
             return self._stored
         self.eval_count += 1
         value = self._thunk(record)
-        if self.strategy is EvalStrategy.LAZY_MEMOIZED:
+        if self.strategy is _LAZY_MEMOIZED:
             self._stored = value
             self._thunk = None  # release the closure; never invoked again
         return value
@@ -148,7 +153,7 @@ class Record:
     def set_field(self, name: str, value: Value) -> "Record":
         """Store one field: keeps a thunk cell, unwraps an EAGER cell, stores any other value bare (no TypeError)."""
         check_name(name)
-        if type(value) is FieldCell and value.strategy is EvalStrategy.EAGER:
+        if type(value) is FieldCell and value.strategy is _EAGER:
             value = value._stored
         self._cells[name] = value
         return self

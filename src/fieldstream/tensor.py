@@ -8,7 +8,8 @@ is deliberately not a numerics type.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
+from operator import countOf
 
 from .errors import ShapeMismatch
 
@@ -26,7 +27,7 @@ class Tensor:
     def __init__(self, shape: Sequence[int], data: Sequence[float]):
         shape = check_shape(shape)
         flat = tuple(data)
-        if set(map(type, flat)) != {float}:  # exact floats are valid as they are
+        if countOf(map(type, flat), float) != len(flat):  # exact floats are valid as they are
             flat = tuple(map(to_float, flat))
         if len(flat) != math.prod(shape):
             raise ValueError(
@@ -63,12 +64,13 @@ class Tensor:
         if not tensors:
             raise ValueError("cannot stack zero tensors")
         base = tensors[0]._shape
-        data: list[float] = []
-        for t in tensors:
+
+        def same_shape(t: Tensor) -> Tensor:
             if t._shape != base:
                 raise ShapeMismatch(f"cannot stack shape {t._shape} with shape {base}")
-            data.extend(t._data)
-        return Tensor._trusted((len(tensors),) + base, tuple(data))
+            return t
+
+        return _stacked(tensors, len(tensors), base, same_shape)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -95,7 +97,7 @@ def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
 
 def to_float(x) -> float:
     """``x`` as a float; bools, non-numbers and ints too large for a float raise ValueError."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, (int, float))):
         raise ValueError(f"{x!r} is not a number")
     try:
         return float(x)
@@ -111,6 +113,23 @@ def as_tensor(value) -> Tensor:
         return Tensor((), (value,))
     except ValueError as e:
         raise TypeError(f"neither a tensor nor a numeric scalar: {e}") from None
+
+
+def _stacked(values: Iterable, n: int, shape: tuple[int, ...] | None, coerce: Callable) -> Tensor:
+    """The ``n`` ``values`` stacked along a new leading axis, each joined as it is pulled.
+
+    A plain Tensor of ``shape`` joins as it is; any other value goes
+    through ``coerce``, which returns a tensor of the shape every value
+    must have (``shape``, or the one it pins when ``shape`` is None) or
+    raises, so nothing after a bad value is pulled.
+    """
+    data: list[float] = []
+    for v in values:
+        if type(v) is not Tensor or v._shape != shape:
+            v = coerce(v)
+            shape = v._shape
+        data += v._data
+    return Tensor._trusted((n,) + shape, tuple(data))
 
 
 def _pinned_tensor(shapes: dict[str, tuple[int, ...]], name: str, value) -> Tensor:

@@ -11,7 +11,7 @@ from collections import Counter
 from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldstream import (
@@ -31,6 +31,7 @@ from fieldstream import (
     UnlistedKey,
     apply,
     as_batch,
+    as_tensor,
     as_list,
     datasplit,
     datasplit_by_pattern,
@@ -551,3 +552,124 @@ def test_as_batch_over_infinite_shuffle():
     first_two = as_list(take(stream, 2))
     for b in first_two:
         assert sorted(b.labels.data) == [0.0, 1.0, 2.0, 3.0]
+
+
+# as_batch error paths and the reference batcher ---------------------------------------------
+
+class SubTensor(Tensor):
+    __slots__ = ()
+
+
+def on_demand(value):
+    return FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda r: value)
+
+
+def test_as_batch_later_batch_of_another_shape_names_the_field():
+    rows = recs([{"image": Tensor((2,), [i, i]), "class_id": 0} for i in range(2)]
+                + [{"image": Tensor((3,), [0, 0, 0]), "class_id": 0}])
+    batches = iter(as_batch(ds(rows), "image", "class_id", 2))
+    assert next(batches).features["image"] == Tensor((2, 2), [0.0, 0.0, 1.0, 1.0])
+    with pytest.raises(ShapeMismatch) as info:
+        next(batches)
+    assert str(info.value) == "field 'image' has shape (3,), expected (2,)"
+
+
+def test_as_batch_non_numeric_feature_raises_as_tensor_error():
+    with pytest.raises(TypeError) as expected:
+        as_tensor("cat")
+    rows = recs([{"image": 1.0, "class_id": 0}, {"image": "cat", "class_id": 0}])
+    with pytest.raises(TypeError) as info:
+        as_list(as_batch(ds(rows), "image", "class_id", 2))
+    assert str(info.value) == str(expected.value) == "neither a tensor nor a numeric scalar: 'cat' is not a number"
+
+
+@pytest.mark.parametrize("bad, error", [(Tensor((3,), [0, 0, 0]), ShapeMismatch), ("cat", TypeError)])
+def test_as_batch_forces_nothing_after_a_bad_value(bad, error):
+    values = [Tensor((2,), [i, i]) for i in range(5)]
+    values[2] = bad
+    rows = recs([{"image": on_demand(v), "class_id": 0} for v in values])
+    with pytest.raises(error):
+        as_list(as_batch(ds(rows), "image", "class_id", 5))
+    assert [r.cell("image").eval_count for r in rows] == [1, 1, 1, 0, 0]
+
+
+def test_as_batch_stacks_subclass_and_rank_0_tensors_as_before():
+    rows = recs([{"image": cls((2,), [i, -i]), "class_id": 0}
+                 for i, cls in enumerate([SubTensor, Tensor, SubTensor])])
+    (batch,) = as_list(as_batch(ds(rows), "image", "class_id", 3))
+    assert type(batch.features["image"]) is Tensor
+    assert batch.features["image"] == Tensor((3, 2), [0.0, 0.0, 1.0, -1.0, 2.0, -2.0])
+    mixed = [1, Tensor((), [2.0]), 3.5, SubTensor((), [4]), 5]
+    rows = recs([{"v": v, "class_id": 0} for v in mixed])
+    (batch,) = as_list(as_batch(ds(rows), "v", "class_id", 5))
+    assert batch.features["v"] == Tensor.stack([as_tensor(v) for v in mixed]) == Tensor((5,), [1, 2, 3.5, 4, 5])
+
+
+def reference_batches(rows, names, label_field, batch_size):
+    """as_batch's contract from as_tensor, Tensor.stack and the pinned-shape rule."""
+    shapes = {}
+    for start in range(0, len(rows), batch_size):
+        chunk = rows[start:start + batch_size]
+        features = {}
+        for name in names:
+            tensors = []
+            for r in chunk:
+                t = as_tensor(r.get_field(name))
+                expected = shapes.setdefault(name, t.shape)
+                if t.shape != expected:
+                    raise ShapeMismatch(f"field {name!r} has shape {t.shape}, expected {expected}")
+                tensors.append(t)
+            features[name] = Tensor.stack(tensors)
+        try:
+            labels = Tensor((len(chunk),), [r.get_field(label_field) for r in chunk])
+        except ValueError as e:
+            raise NonNumericLabel(f"label field {label_field!r}: {e}") from None
+        yield Batch(features, labels, len(chunk))
+
+
+def batches_then_error(batches):
+    got = []
+    try:
+        for b in batches:
+            got.append(b)
+    except Exception as e:
+        return got, (type(e), str(e))
+    return got, None
+
+
+finite_floats = st.floats(allow_nan=False)
+FEATURE_VALUES = {
+    "tensor (2,)": st.lists(finite_floats, min_size=2, max_size=2).map(lambda d: Tensor((2,), d)),
+    "tensor (1, 2)": st.lists(finite_floats, min_size=2, max_size=2).map(lambda d: Tensor((1, 2), d)),
+    "subclass (2,)": st.lists(finite_floats, min_size=2, max_size=2).map(lambda d: SubTensor((2,), d)),
+    "rank-0 tensor": finite_floats.map(lambda x: Tensor((), [x])),
+    "int": st.one_of(st.integers(-(2**70), 2**70), st.just(2**1024)),
+    "float": finite_floats,
+    "bool": st.booleans(),
+    "text": st.text(max_size=2),
+}
+
+
+@st.composite
+def batch_cases(draw):
+    kinds = draw(st.sets(st.sampled_from(sorted(FEATURE_VALUES)), min_size=1, max_size=3))
+    value = st.one_of([FEATURE_VALUES[k] for k in sorted(kinds)])
+    label = st.one_of(st.integers(-5, 5), finite_floats, st.booleans() if draw(st.booleans()) else st.nothing())
+    rows = draw(st.lists(st.fixed_dictionaries({"a": value, "b": value, "y": label}), max_size=12))
+    return rows, draw(st.integers(1, 5))
+
+
+@settings(deadline=None)
+@given(batch_cases())
+def test_as_batch_matches_the_reference_batcher(case):
+    """Equal batches, or the same error at the same batch, and the same on-demand forces."""
+    rows, batch_size = case
+
+    def fresh():
+        return recs([{"a": on_demand(row["a"]), "b": row["b"], "y": row["y"]} for row in rows])
+
+    ours, theirs = fresh(), fresh()
+    got = batches_then_error(as_batch(ds(ours), ["a", "b"], "y", batch_size))
+    expected = batches_then_error(reference_batches(theirs, ["a", "b"], "y", batch_size))
+    assert got == expected
+    assert [r.cell("a").eval_count for r in ours] == [r.cell("a").eval_count for r in theirs]

@@ -20,6 +20,8 @@ element = st.one_of(
     st.floats().map(FloatSubclass),
     st.text(max_size=3),
     st.just(10**400),
+    # where a plain int's one float() hands over to the overflow message
+    st.sampled_from([2**1000 + 1, 2**1000 - 1, -(2**1000) + 1, -(2**1000) - 1, 2**1023, 2**1024 + 1, -(2**1024)]),
 )
 tensor_data = st.one_of(st.lists(st.floats(), max_size=8), st.lists(element, max_size=8))
 
