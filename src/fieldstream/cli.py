@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 from .cache import _ENCODER, _tensor_obj, atomic_open, from_jsonable
 from .combinators import apply, shard, sliding_window
-from .errors import FieldstreamError, RaggedRow
+from .errors import FieldstreamError, MissingField, RaggedRow, ShapeMismatch
 from .mlprep import _save_split_file, datasplit, stratify_sample, summary
 from .sources import csvsource, get_datastream, jsonstream
 from .stream import count
@@ -35,17 +35,21 @@ __all__ = ["run_cli"]
 def _write_lines(records, path, source, encode=_ENCODER.encode) -> None:
     """Write ``encode`` of each record's field dict and a ``\n``; the default writes JSON Lines.
     A value UTF-8 cannot hold (a lone surrogate), or a CSV record whose fields differ from the
-    header's, is a ValueError naming ``source``, the input, and the record.
+    header's, is a ValueError naming ``source``, the input, and the record. A MissingField or
+    ShapeMismatch raised while pulling a record is a ValueError naming ``source``.
 
     Every command builds eager pipelines only, so ``encode`` gets the record's own dict, neither
     forced nor copied; no encoder changes or keeps it. A thunk field reaching here is a bug in
     the command, and the encoder's TypeError for it passes through unchanged."""
     with atomic_open(path, newline="", encoding="utf-8") as fh:
-        for n, r in enumerate(records, 1):
-            try:
-                fh.write(encode(r._cells) + "\n")
-            except (UnicodeEncodeError, RaggedRow) as e:  # not around the source, whose errors name it
-                raise ValueError(f"{source}: output record {n}: {e}") from None
+        try:
+            for n, r in enumerate(records, 1):
+                try:
+                    fh.write(encode(r._cells) + "\n")
+                except (UnicodeEncodeError, RaggedRow) as e:  # not around the source, whose errors name it
+                    raise ValueError(f"{source}: output record {n}: {e}") from None
+        except (MissingField, ShapeMismatch) as e:  # a stage's error, which names no file
+            raise ValueError(f"{source}: {e}") from None
 
 
 def _row_text(row: tuple[float, ...]) -> str:

@@ -17,7 +17,7 @@ from .record import EvalStrategy, FieldCell, Value, check_name
 from .stream import (
     Datastream, check_callable, check_count, chunks, claim_iter, ensure_stream, field_list, pipeable, reader
 )
-from .tensor import Tensor, _pinned_tensor
+from .tensor import _pinned_tensor, _stacked, as_tensor
 
 __all__ = [
     "apply",
@@ -171,13 +171,13 @@ def apply_batch(s, src: str, dst: str, f, batch_size: int) -> Datastream:
 def sliding_window(s, fields, size: int) -> Datastream:
     """Stack each listed field over a window of ``size`` consecutive records.
 
-    Output element j is built from input elements j .. j+size-1: every
-    listed field becomes a tensor with a new leading axis of length
-    ``size``; all other fields come from the window's last input
-    record. Listed values (tensors, or numeric scalars treated as rank
-    0) must keep one shape per field across the stream. Values are held
-    in a ring and forced exactly once each, never recomputed per
-    window. An input shorter than ``size`` yields nothing.
+    Output element j is input element j+size-1 with each listed field
+    replaced by its values in elements j .. j+size-1, stacked along a
+    new leading axis. Listed values (tensors, or numeric scalars as rank
+    0) must keep one shape per field across the stream. Each is forced
+    and checked once, as its record arrives; a ring per field holds the
+    last ``size`` tensors, and no input record is kept but the one
+    emitted. An input shorter than ``size`` yields nothing.
     """
     check_count(size, "window size")
     wanted = field_list(fields)
@@ -186,16 +186,15 @@ def sliding_window(s, fields, size: int) -> Datastream:
     it = claim_iter(s)
 
     def gen():
-        ring: deque = deque(maxlen=size)
+        rings = {name: deque(maxlen=size) for name in wanted}  # a repeated name is read once
         shapes: dict[str, tuple[int, ...]] = {}
         for r in it:
-            vals = {name: _pinned_tensor(shapes, name, r.get_field(name)) for name in wanted}
-            ring.append((r, vals))
-            if len(ring) == size:
-                last = ring[-1][0]
-                for name in wanted:
-                    last.set_field(name, Tensor.stack([v[name] for _, v in ring]))
-                yield last
+            for name, ring in rings.items():
+                ring.append(_pinned_tensor(shapes, name, r.get_field(name)))
+            if len(ring) == size:  # every ring holds one value per record so far
+                for name, ring in rings.items():
+                    r.set_field(name, _stacked(ring, size, shapes[name], as_tensor))  # checked already
+                yield r
 
     return Datastream(gen())
 

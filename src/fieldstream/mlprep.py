@@ -392,7 +392,7 @@ def as_batch(s, feature_fields, label_field: str, batch_size: int = 32) -> Datas
         for chunk in chunks(it, batch_size):
             features = {
                 name: _stacked((r.get_field(name) for r in chunk), len(chunk), shapes.get(name), pins[name])
-                for name in names
+                for name in pins  # a repeated name is joined once
             }
             values = [r.get_field(label_field) for r in chunk]
             try:

@@ -61,16 +61,16 @@ class Datastream:
     def __or__(self, stage):
         if not callable(stage):
             return NotImplemented
-        return _run_stage(self, stage)
+        return _stage_result(stage(self))
 
     def __repr__(self) -> str:
         state = "claimed" if self._claimed else "fresh"
         return f"<Datastream {state}>"
 
 
-def _run_stage(stream: Datastream, stage):
-    """The one body of ``stream | stage`` and ``pipe``: an iterator result is wrapped, any other is returned."""
-    result = stage(stream)
+def _stage_result(result):
+    """A stage's result as ``|``, ``pipe`` and every pipeable call form return it: an iterator is
+    wrapped in a single-use Datastream, any other result is returned as it is."""
     return Datastream(result) if isinstance(result, Iterator) else result
 
 
@@ -138,7 +138,7 @@ class _Pipeable:
 
     def _build(self, upstream, args, kwargs):
         """The one place a stage is built, whichever call form asked for it."""
-        return self.__wrapped__(upstream, *args, **kwargs)
+        return _stage_result(self.__wrapped__(upstream, *args, **kwargs))
 
     def __call__(self, *args, **kwargs):
         head = args[0] if args else None
@@ -215,7 +215,7 @@ def chunks(it: Iterator, n: int) -> Iterator[list]:
 def pipe(s, stage) -> Datastream:
     """Apply one stream transformer; the explicit spelling of ``s | stage``."""
     check_callable(stage, "stage")
-    return _run_stage(ensure_stream(s), stage)
+    return _stage_result(stage(ensure_stream(s)))
 
 
 @pipeable

@@ -176,6 +176,29 @@ def test_integer_past_digit_limit_names_file_and_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rows, argv, message",
+    [
+        (
+            '{"x": {"t": "tensor", "shape": [2], "data": [1, 2]}}\n'
+            '{"x": {"t": "tensor", "shape": [3], "data": [1, 2, 3]}}\n',
+            ["window", "--fields", "x", "--size", "2"],
+            "field 'x' has shape (3,), expected (2,)",
+        ),
+        ('{"i": 1}\n{"i": 2}\n', ["window", "--fields", "x", "--size", "2"], "missing field 'x'"),
+        ('{"i": 1}\n', ["stratify", "--class-field", "nope"], "missing field 'nope'"),
+    ],
+    ids=["window-shape", "window-missing", "stratify-missing"],
+)
+def test_stage_data_error_names_input_file(tmp_path, capsys, rows, argv, message):
+    src = tmp_path / "in.jsonl"
+    write(src, rows)
+    out = tmp_path / "o.jsonl"
+    assert run_cli([*argv, "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {src}: {message}\n"
+    assert not out.exists()
+
+
 def test_bad_shard_parameters_exit_2(tmp_path):
     src = tmp_path / "in.jsonl"
     write(src, '{"a":1}\n')

@@ -1,6 +1,7 @@
 """apply, filter, delfield, delay, apply_batch, sliding_window, shard."""
 
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -48,6 +49,18 @@ def field_list(stream, name):
     return [r.get_field(name) for r in as_list(stream)]
 
 
+def on_demand_rows(n):
+    """``n`` records with ``idx`` i and an ON_DEMAND ``x`` computing float(i), and their ``x`` cells."""
+    rows, cells = [], []
+    for i in range(n):
+        r = Record(idx=i)
+        cell = FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda rr: rr.get_field("idx") * 1.0)
+        r.set_field("x", cell)
+        rows.append(r)
+        cells.append(cell)  # a stage may replace the field, so keep direct refs
+    return rows, cells
+
+
 # apply -------------------------------------------------------------------------
 
 def test_apply_single_source():
@@ -87,6 +100,12 @@ def test_apply_lazy_memoized_forces_once():
     r = out[0]
     assert r.get_field("y") == 6 and r.get_field("y") == 6
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("strategy", [EvalStrategy.LAZY_MEMOIZED, EvalStrategy.ON_DEMAND])
+def test_lazy_apply_passes_listed_sources_in_order(strategy):
+    (r,) = as_list(apply(ds([Record(a=1, b=2, c=3)]), ["c", "a", "b"], "out", list, strategy=strategy))
+    assert r.get_field("out") == [3, 1, 2]
 
 
 def test_apply_replaces_existing_dst():
@@ -184,6 +203,13 @@ def test_filter_keeps_matching():
     assert field_list(out, "x") == [2, 4]
 
 
+def test_filter_field_forces_on_demand_src_once_per_record():
+    rows, cells = on_demand_rows(5)
+    out = as_list(filter_field(ds(rows), "x", lambda v: v % 2 == 0))
+    assert [r.get_field("idx") for r in out] == [0, 2, 4]
+    assert [c.eval_count for c in cells] == [1] * 5
+
+
 def test_filter_none_pass():
     assert as_list(filter_field(xs([1, 2]), "x", lambda v: False)) == []
 
@@ -242,6 +268,13 @@ def test_delay_empty_and_single():
     assert as_list(delay(xs([]), "x", "prev")) == []
     out = delay(xs([9]), "x", "prev")
     assert field_list(out, "prev") == [9]
+
+
+def test_scan_calls_f_once_per_record():
+    calls = []
+    out = as_list(scan(xs([1, 2, 3, 4]), "x", "total", 0, lambda acc, v: calls.append(v) or acc + v))
+    assert [r.get_field("total") for r in out] == [1, 3, 6, 10]
+    assert calls == [1, 2, 3, 4]
 
 
 # apply_batch -------------------------------------------------------------------------
@@ -346,6 +379,36 @@ def test_sliding_window_forces_each_value_once():
     assert len(out) == n - size + 1
     # every input was forced exactly once despite appearing in several windows
     assert [c.eval_count for c in cells] == [1] * n
+
+
+class _Frame:
+    """A weakref-able stand-in for a large unlisted field value; Record has no __weakref__."""
+
+
+def test_sliding_window_releases_records_it_has_moved_past():
+    refs = []
+
+    def rows():
+        for i in range(6):
+            frame = _Frame()
+            refs.append(weakref.ref(frame))
+            yield Record(x=float(i), frame=frame)
+
+    emitted = 0
+    for k, r in enumerate(sliding_window(ds(rows()), ["x"], 3), start=2):
+        assert r.get_field("frame") is refs[k]()
+        assert [ref() is None for ref in refs[:k]] == [True] * k
+        emitted += 1
+    assert emitted == 4
+
+
+def test_sliding_window_repeated_name_forces_once_per_record():
+    once_rows, once_cells = on_demand_rows(4)
+    twice_rows, twice_cells = on_demand_rows(4)
+    once = as_list(sliding_window(ds(once_rows), ["x"], 2))
+    twice = as_list(sliding_window(ds(twice_rows), ["x", "x"], 2))
+    assert [r.to_dict() for r in twice] == [r.to_dict() for r in once]
+    assert [c.eval_count for c in once_cells + twice_cells] == [1] * 8
 
 
 # shard ----------------------------------------------------------------------------------

@@ -605,6 +605,14 @@ def test_as_batch_stacks_subclass_and_rank_0_tensors_as_before():
     assert batch.features["v"] == Tensor.stack([as_tensor(v) for v in mixed]) == Tensor((5,), [1, 2, 3.5, 4, 5])
 
 
+def test_as_batch_repeated_feature_name_forces_once_per_record():
+    once = recs([{"x": on_demand(float(i)), "class_id": i} for i in range(4)])
+    twice = recs([{"x": on_demand(float(i)), "class_id": i} for i in range(4)])
+    expected = as_list(as_batch(ds(once), ["x"], "class_id", 3))
+    assert as_list(as_batch(ds(twice), ["x", "x"], "class_id", 3)) == expected
+    assert [r.cell("x").eval_count for r in once + twice] == [1] * 8
+
+
 def reference_batches(rows, names, label_field, batch_size):
     """as_batch's contract from as_tensor, Tensor.stack and the pinned-shape rule."""
     shapes = {}

@@ -361,6 +361,28 @@ def test_every_call_form_builds_its_stage_in_one_place(run, stage, monkeypatch):
     assert built == [stage]
 
 
+@pipeable
+def _double(s):
+    for x in s:
+        yield x * 2
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: _double(Datastream([1, 2])), id="double(s)"),
+    pytest.param(lambda: [1, 2] | _double(), id="[1, 2] | double()"),
+    pytest.param(lambda: [1, 2] | _double, id="[1, 2] | double"),
+    pytest.param(lambda: Datastream([1, 2]) | _double(), id="s | double()"),
+    pytest.param(lambda: Datastream([1, 2]) | _double, id="s | double"),
+    pytest.param(lambda: pipe(Datastream([1, 2]), _double()), id="pipe(s, double())"),
+])
+def test_user_generator_stage_is_single_use_in_every_call_form(run):
+    out = run()
+    assert isinstance(out, Datastream)
+    assert list(out) == [2, 4]
+    with pytest.raises(SingleUseViolation):
+        list(out)
+
+
 _RECS = [Record(x=1.0, filename="a.jpg", split=SplitLabel.TRAIN)]
 _F = lambda v: v  # noqa: E731
 
