@@ -163,7 +163,8 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
     never on field values. With a ``split_file`` path: an existing file is
     loaded when the stage is built (BadSplitFile if malformed) and
     applied by ``key_field`` (a key absent from the file raises
-    UnlistedKey); a missing file is computed and then written.
+    UnlistedKey); a missing file is computed and then written, so the
+    stage reads its whole input before it yields its first record.
     """
     valid, test = _normalize_fractions(split_value)
     check_name(key_field)

@@ -9,6 +9,7 @@ import os
 import random
 import re
 import struct
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,6 +44,23 @@ from helpers import CountingSource, ds, random_value, recs, scalar_values, stric
 HUGE_TENSOR_BLOB = b'{"v":1,"value":{"t":"tensor","shape":[1],"data":[1' + b"0" * 400 + b"]}}"
 # a NaN whose payload is not the default one
 NAN_PAYLOAD = struct.unpack("<d", b"\x01\x00\x00\x00\x00\x00\xf8\x7f")[0]
+
+
+# cache._F64 as a little-endian host sets it (native) and as a big-endian host does ("<")
+F64_LAYOUTS = ("", "<")
+
+
+@contextmanager
+def f64_layout(prefix: str):
+    """Run with ``cache._F64`` set to ``prefix``; the plan memo, whose plans keep their format text,
+    is cleared on entry and on exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cache, "_F64", prefix)
+        cache._memo_plan.cache_clear()
+        try:
+            yield
+        finally:
+            cache._memo_plan.cache_clear()
 
 
 def f64_text(data) -> str:
@@ -88,10 +106,13 @@ def test_encode_int_exact_bytes():
 
 
 def test_encode_tensor_exact_bytes():
-    blob = encode_value(Tensor((2,), [1.0, 2.0]))
     # 1.0 and 2.0 as little-endian float64: 00..00 f0 3f and 00..00 00 40
     data = bytes.fromhex("000000000000f03f" "0000000000000040")
-    assert blob == b'{"v":3,"value":{"t":"tensor","shape":[2],"f64":0}}\n' + data
+    for prefix in F64_LAYOUTS:
+        with f64_layout(prefix):
+            blob = encode_value(Tensor((2,), [1.0, 2.0]))
+            assert blob == b'{"v":3,"value":{"t":"tensor","shape":[2],"f64":0}}\n' + data, prefix
+            assert strict_equal(decode_value(blob), Tensor((2,), [1.0, 2.0])), prefix
 
 
 def test_encode_null_exact_bytes():
@@ -102,7 +123,9 @@ def test_decode_v2_exact_bytes():
     """The bytes format 2 wrote for 3, a tensor and None still decode."""
     assert strict_equal(decode_value(b'{"v":2,"value":3}'), 3)
     blob = b'{"v":2,"value":{"t":"tensor","shape":[2],"f64":"AAAAAAAA8D8AAAAAAAAAQA=="}}'
-    assert strict_equal(decode_value(blob), Tensor((2,), [1.0, 2.0]))
+    for prefix in F64_LAYOUTS:
+        with f64_layout(prefix):
+            assert strict_equal(decode_value(blob), Tensor((2,), [1.0, 2.0])), prefix
     assert decode_value(b'{"v":2,"value":null}') is None
 
 
@@ -173,8 +196,13 @@ def test_round_trip_hypothesis(v):
 @settings(max_examples=200)
 @given(st.lists(st.floats(width=64), max_size=8))
 def test_round_trip_keeps_tensor_float_bits(data):
-    back = decode_value(encode_value([Tensor((len(data),), data)]))[0]
-    assert [struct.pack("<d", x) for x in back.data] == [struct.pack("<d", x) for x in data]
+    bits = [struct.pack("<d", x) for x in data]
+    for prefix in F64_LAYOUTS:
+        with f64_layout(prefix):
+            blob = encode_value([Tensor((len(data),), data)])
+            assert blob.endswith(b"".join(bits)), prefix
+            back = decode_value(blob)[0]
+            assert [struct.pack("<d", x) for x in back.data] == bits, prefix
 
 
 @settings(max_examples=200)

@@ -390,6 +390,18 @@ def test_window_round_trips_tensor_fields(tmp_path):
     assert got["i"] == 1
 
 
+def test_window_repeated_field_writes_the_field_once(tmp_path):
+    """``--fields x,x`` decodes ``x`` once per row and writes what ``--fields x`` writes."""
+    src = tmp_path / "in.jsonl"
+    write(src, "".join(json.dumps({"x": _tensor_obj([2], [i, -i / 3]), "i": i}) + "\n" for i in range(4)))
+    outs = {}
+    for fields in ["x", "x,x", " x , x,"]:
+        out = outs[fields] = tmp_path / f"out{len(outs)}.jsonl"
+        assert run_cli(["window", "--in", str(src), "--fields", fields, "--size", "2", "--out", str(out)]) == 0
+    assert outs["x,x"].read_bytes() == outs[" x , x,"].read_bytes() == outs["x"].read_bytes()
+    assert len(outs["x"].read_bytes().splitlines()) == 3
+
+
 # one encoder, one parser -------------------------------------------------------------
 
 _texts = st.one_of(st.text(max_size=8), st.sampled_from(['é "q", \\', "世界\U0001f600", "'\"", "\x00\x1f\u2028\r\n"]))

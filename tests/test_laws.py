@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fieldstream import (
     EvalStrategy,
+    FieldCell,
     MissingField,
     Record,
     apply,
@@ -45,6 +46,27 @@ def test_bind_empty_record_is_identity():
 def test_bind_produced_fields_win_on_collision():
     out = as_list(bind_field(ds(recs([{"u": 2, "v": 0}])), "u", lambda x: Record(v=99)))
     assert out[0].to_dict() == {"u": 2, "v": 99}
+
+
+def test_bind_keeps_produced_lazy_cells():
+    """The merge stores each produced lazy cell itself: its identity and eval_count carry through."""
+    cells = []
+
+    def f(x):
+        produced = Record()
+        produced.set_field("v", FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=lambda r: x + 1))
+        produced.set_field("w", FieldCell(EvalStrategy.ON_DEMAND, thunk=lambda r: x * 2))
+        assert produced.get_field("v") == x + 1  # forced once before the merge
+        cells.append((produced.cell("v"), produced.cell("w")))
+        return produced
+
+    out = as_list(bind_field(ds(recs([{"u": 2}, {"u": 5}])), "u", f))
+    for r, (v, w) in zip(out, cells, strict=True):
+        assert r.cell("v") is v and r.cell("w") is w
+        assert (v.eval_count, w.eval_count) == (1, 0)
+        u = r.get_field("u")
+        assert r.to_dict() == {"u": u, "v": u + 1, "w": u * 2}
+        assert (v.eval_count, w.eval_count) == (1, 1)
 
 
 def test_bind_missing_field():

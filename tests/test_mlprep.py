@@ -244,6 +244,13 @@ def test_bad_split_file_fails_when_composed(tmp_path, content, tail):
     assert source.pulls == 0
 
 
+def test_datasplit_writing_a_split_file_reads_its_whole_input_first(tmp_path):
+    source = CountingSource(named(5))
+    out = as_list(source.stream() | datasplit(0.2, split_file=tmp_path / "split.json") | take(1))
+    assert len(out) == 1 and source.pulls == 5
+    assert len(json.loads((tmp_path / "split.json").read_text())) == 5
+
+
 def test_split_file_as_a_file_descriptor_fails_when_composed(tmp_path):
     path = tmp_path / "split.json"
     path.write_text(json.dumps({"f0000": "train"}))
@@ -351,6 +358,28 @@ def test_summary_cross_tabulates_split():
     )
 
 
+def test_summary_forces_only_class_split_and_class_name():
+    forced = Counter()
+
+    def lazy(name, value):
+        def thunk(r):
+            forced[name] += 1
+            return value
+        return FieldCell(EvalStrategy.LAZY_MEMOIZED, thunk=thunk)
+
+    rows = []
+    for c, split in [("A", SplitLabel.TRAIN), ("B", SplitLabel.TEST), ("A", SplitLabel.TRAIN)]:
+        r = Record()
+        for name, value in [("class_no", c), ("split", split), ("class_name", c.lower()), ("image", [0.5])]:
+            r.set_field(name, lazy(name, value))
+        rows.append(r)
+    sink = io.StringIO()
+    out = as_list(summary(ds(rows), sink=sink))
+    assert sink.getvalue() == "class\tsplit\tcount\na\ttrain\t2\nb\ttest\t1\n"
+    assert forced == {"class_no": 3, "split": 3, "class_name": 2}  # a class's name is read at its first record
+    assert [r.cell("image").eval_count for r in out] == [0, 0, 0]
+
+
 def test_summary_empty_stream_header_only():
     sink = io.StringIO()
     assert as_list(summary(ds([]), sink=sink)) == []
@@ -421,6 +450,14 @@ def test_infshuffle_deterministic():
 
     assert run(4) == run(4)
     assert run(4) != run(5)
+
+
+def test_infshuffle_consecutive_epochs_differ():
+    """One generator runs on across epochs, so each epoch is a new permutation; seed 4 pins two."""
+    rows = recs([{"x": i} for i in range(6)])
+    got = [r.get_field("x") for r in as_list(take(infshuffle(ds(rows), seed=4), 12))]
+    assert got[:6] == [3, 5, 4, 0, 2, 1]
+    assert got[6:] == [2, 4, 1, 3, 5, 0]
 
 
 def test_infshuffle_empty_stream():
