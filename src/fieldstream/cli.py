@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 from .cache import _ENCODER, _F64, _tensor_obj, atomic_open, from_jsonable
 from .combinators import apply, shard, sliding_window
-from .errors import FieldstreamError, MissingField, RaggedRow, ShapeMismatch
+from .errors import CacheCorrupt, FieldstreamError, MissingField, RaggedRow, ShapeMismatch
 from .mlprep import _save_split_file, datasplit, stratify_sample, summary
 from .sources import csvsource, get_datastream, jsonstream
 from .stream import count
@@ -182,7 +182,7 @@ def _windowed_value(path, name: str):
     def decode(obj):
         try:
             return as_tensor(from_jsonable(obj))
-        except TypeError as e:
+        except (TypeError, CacheCorrupt) as e:
             raise ValueError(f"{path}: field {name!r}: {e}") from None
 
     return decode

@@ -360,11 +360,10 @@ def infshuffle(s, seed: int = 0) -> Datastream:
         records = list(it)
         if not records:
             raise EmptyStream("cannot shuffle an empty stream forever")
-        order = list(range(len(records)))
         while True:
-            rng.shuffle(order)
-            for i in order:
-                yield records[i].__copy__()
+            rng.shuffle(records)
+            for r in records:
+                yield r.__copy__()
 
     return Datastream(gen())
 

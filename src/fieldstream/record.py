@@ -150,6 +150,8 @@ class Record:
             raise MissingField(name) from None
         return value.get(self) if type(value) is FieldCell else value
 
+    __getitem__ = get_field
+
     def set_field(self, name: str, value: Value) -> "Record":
         """Store one field: keeps a thunk cell, unwraps an EAGER cell, stores any other value bare (no TypeError)."""
         check_name(name)
@@ -158,9 +160,7 @@ class Record:
         self._cells[name] = value
         return self
 
-    def set_value(self, name: str, value: Value) -> "Record":
-        """Store an eager value; the same store as :meth:`set_field`."""
-        return self.set_field(name, value)
+    set_value = __setitem__ = set_field
 
     def delete_field(self, name: str) -> "Record":
         if name not in self._cells:
@@ -181,10 +181,10 @@ class Record:
     def has_field(self, name: str) -> bool:
         return name in self._cells
 
+    __contains__ = has_field
+
     def to_dict(self) -> dict[str, Value]:
         """Force every field and return a new dict of name -> value in field order."""
-        if FieldCell not in map(type, self._cells.values()):
-            return self._cells.copy()
         return {name: self.get_field(name) for name in self._cells}
 
     def clone(self) -> "Record":
@@ -202,15 +202,6 @@ class Record:
         r = Record.__new__(Record)
         r._cells = self._cells.copy()
         return r
-
-    def __getitem__(self, name: str) -> Value:
-        return self.get_field(name)
-
-    def __setitem__(self, name: str, value: Value) -> None:
-        self.set_field(name, value)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._cells
 
     def __len__(self) -> int:
         return len(self._cells)

@@ -91,7 +91,7 @@ def get_datastream(data_dir, ext: str | None = None, classes: Mapping[str, int] 
             for path in get_files(os.path.join(data_dir, name), ext):
                 if not listed:
                     raise UnknownClass(f"directory {name!r} is not in the class mapping")
-                yield Record(filename=path, class_no=mapping[name], class_name=name)
+                yield Record._adopt({"filename": path, "class_no": mapping[name], "class_name": name})
 
     return Datastream(gen())
 
@@ -152,16 +152,19 @@ def jsonstream(path) -> Datastream:
 
     Scalars, arrays and nested objects map to the corresponding field
     values; everything is eager. An element that is not an object
-    raises NotAnObject, and an empty key ValueError.
+    raises NotAnObject, and an empty key ValueError; both name the file
+    and the line (JSON Lines) or the array index.
     """
     path = os.fspath(path)
 
-    def record_of(obj, where: str) -> Record:
+    def refuse(obj, where: str) -> Exception:
+        """The error for ``obj``, an element that is not an object or has an empty key, at ``where``."""
         if not isinstance(obj, dict):
-            raise NotAnObject(f"{where}: element is {type(obj).__name__}, not an object")
-        if "" in obj:
+            return NotAnObject(f"{where}: element is {type(obj).__name__}, not an object")
+        try:
             check_name("")
-        return Record._adopt(obj)
+        except ValueError as e:
+            return ValueError(f"{where}: {e}")
 
     def gen():
         try:
@@ -171,14 +174,18 @@ def jsonstream(path) -> Datastream:
                 if first.lstrip().startswith("["):
                     data = parse_json(fh.read(), ParseError, f"{path}:")
                     for i, obj in enumerate(data):
-                        yield record_of(obj, f"{path}[{i}]")
+                        if not isinstance(obj, dict) or "" in obj:
+                            raise refuse(obj, f"{path}[{i}]")
+                        yield Record._adopt(obj)
                 else:
                     where = f"{path}:"
                     for lineno, line in enumerate(fh, start=1):
                         if not line.strip():
                             continue
                         obj = parse_json(line.rstrip("\r\n"), ParseError, where, lineno)
-                        yield record_of(obj, f"{path}:{lineno}")
+                        if not isinstance(obj, dict) or "" in obj:
+                            raise refuse(obj, f"{path}:{lineno}")
+                        yield Record._adopt(obj)
         except UnicodeDecodeError as e:
             raise _not_utf8(path, e) from None
 

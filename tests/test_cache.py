@@ -820,6 +820,15 @@ def test_v1_cache_directory_is_read_warm(tmp_path):
     assert strict_equal(out[1].get_field("feat"), Tensor((2, 1), [1.0, -0.0]))
 
 
+def test_v1_cache_file_with_a_text_shape_is_corrupt(tmp_path):
+    (tmp_path / "feat").mkdir()
+    path = tmp_path / "feat" / "f0.json"
+    path.write_bytes(b'{"v":1,"value":{"t":"tensor","shape":"2","data":[1.0,2.0]}}')
+    with pytest.raises(CacheCorrupt) as exc:
+        as_list(apply_cached(squares_stream(1), "x", "feat", lambda v: 1 / 0, tmp_path))
+    assert str(exc.value) == f"{path}: tensor shape and data must be arrays"
+
+
 def test_cache_key_from_undecodable_file_name(tmp_path):
     """A file name whose bytes are not UTF-8 is a cache key: cold run, then warm."""
     cls = tmp_path / "tree" / "cls"

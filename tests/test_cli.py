@@ -187,8 +187,18 @@ def test_integer_past_digit_limit_names_file_and_line(tmp_path, capsys):
         ),
         ('{"i": 1}\n{"i": 2}\n', ["window", "--fields", "x", "--size", "2"], "missing field 'x'"),
         ('{"i": 1}\n', ["stratify", "--class-field", "nope"], "missing field 'nope'"),
+        (
+            '{"x": {"t": "tensor", "shape": [2], "data": [1.0]}}\n',
+            ["window", "--fields", "x", "--size", "1"],
+            "field 'x': tensor data has 1 elements, shape (2,) needs 2",
+        ),
+        (
+            '{"x": {"t": "tensor", "shape": "2", "data": [1.0, 2.0]}}\n',
+            ["window", "--fields", "x", "--size", "1"],
+            "field 'x': tensor shape and data must be arrays",
+        ),
     ],
-    ids=["window-shape", "window-missing", "stratify-missing"],
+    ids=["window-shape", "window-missing", "stratify-missing", "window-short-data", "window-shape-not-array"],
 )
 def test_stage_data_error_names_input_file(tmp_path, capsys, rows, argv, message):
     src = tmp_path / "in.jsonl"
@@ -196,6 +206,16 @@ def test_stage_data_error_names_input_file(tmp_path, capsys, rows, argv, message
     out = tmp_path / "o.jsonl"
     assert run_cli([*argv, "--in", str(src), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {src}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["shard", "--k", "0", "--n", "1"], ["stratify"]], ids=["shard", "stratify"])
+def test_empty_json_key_names_input_file_and_line(tmp_path, capsys, argv):
+    src = tmp_path / "in.jsonl"
+    write(src, '{"a": 1}\n{"": 2}\n')
+    out = tmp_path / "o.jsonl"
+    assert run_cli([*argv, "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {src}:2: field name must be a non-empty string, got ''\n"
     assert not out.exists()
 
 

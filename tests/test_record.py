@@ -262,6 +262,13 @@ def test_mixed_record_repr_clone_and_to_dict():
     assert repr(r.cell("y")) == "FieldCell(lazy_memoized forced)"
 
 
+def test_each_record_operation_has_one_implementation():
+    assert Record.set_value is Record.set_field
+    assert Record.__setitem__ is Record.set_field
+    assert Record.__getitem__ is Record.get_field
+    assert Record.__contains__ is Record.has_field
+
+
 # to_dict and from_values -----------------------------------------------------------
 
 def test_to_dict_is_a_new_dict_for_eager_and_mixed_records():

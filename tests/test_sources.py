@@ -126,7 +126,31 @@ def test_get_datastream_unlisted_without_matching_files_is_fine(pet_tree):
     assert len(out) == 3
 
 
+def test_get_datastream_over_a_file_raises_not_a_directory(tmp_path):
+    p = tmp_path / "plain.txt"
+    touch(p)
+    with pytest.raises(NotADirectoryError) as exc:
+        get_datastream(p)
+    assert str(exc.value) == f"not a directory: {p}"
+
+
+def test_get_datastream_records_own_their_fields(pet_tree):
+    first, second, _ = as_list(get_datastream(pet_tree, ext=".jpg"))
+    first.set_field("class_no", 7)
+    first.set_field("extra", 1)
+    assert second.field_names() == ["filename", "class_no", "class_name"]
+    assert second.get_field("class_no") == 0
+
+
 # csvsource -----------------------------------------------------------------------
+
+def test_csvsource_blank_first_line_is_a_blank_header_row(tmp_path):
+    p = tmp_path / "t.csv"
+    touch(p, "\na,b\n1,2\n")
+    with pytest.raises(ParseError) as exc:
+        next(iter(csvsource(p)))
+    assert str(exc.value) == f"{p}: blank header row"
+
 
 def test_csvsource_basic(tmp_path):
     p = tmp_path / "t.csv"
@@ -271,6 +295,32 @@ def test_jsonstream_empty_key_raises_value_error(tmp_path, text):
     assert next(it).to_dict() == {"a": 1}
     with pytest.raises(ValueError, match="field name must be a non-empty string, got ''"):
         next(it)
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"a":1}\n{"a":2,"":3}\n', ":2"),
+    ('{"a":1}\n\n{"":3}\n', ":3"),
+    ('[{"a":1},{"":3}]', "[1]"),
+])
+def test_jsonstream_empty_key_names_file_and_position(tmp_path, text, where):
+    p = tmp_path / "t.json"
+    touch(p, text)
+    with pytest.raises(ValueError) as exc:
+        as_list(jsonstream(p))
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{p}{where}: field name must be a non-empty string, got ''"
+
+
+@pytest.mark.parametrize("text, where, kind", [
+    ('{"a":1}\n[1]\n', ":2", "list"),
+    ('[{"a":1},"x"]', "[1]", "str"),
+])
+def test_jsonstream_non_object_names_file_and_position(tmp_path, text, where, kind):
+    p = tmp_path / "t.json"
+    touch(p, text)
+    with pytest.raises(NotAnObject) as exc:
+        as_list(jsonstream(p))
+    assert str(exc.value) == f"{p}{where}: element is {kind}, not an object"
 
 
 def test_jsonstream_array_parse_error_counts_from_file_start(tmp_path):

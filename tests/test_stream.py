@@ -38,6 +38,7 @@ from fieldstream import (
     pipeable,
     scan,
     select_field,
+    sliding_window,
     summary,
     take,
 )
@@ -295,6 +296,26 @@ def test_bad_argument_fails_when_the_stage_is_built(stage, args, kwargs, form):
         else:
             source.stream() | stage(*args, **kwargs)
     assert source.pulls == 0
+
+
+@pytest.mark.parametrize("stage, message", [
+    (datasplit((0.1, 0.2, 0.3)), "expected (valid_fraction, test_fraction), got (0.1, 0.2, 0.3)"),
+    (sliding_window([], 2), "sliding_window needs at least one field"),
+], ids=["datasplit-three-fractions", "sliding_window-no-fields"])
+def test_bad_argument_of_a_stage_call_fails_at_the_bar(stage, message):
+    assert type(stage) is _BoundStage
+    source = CountingSource(recs([{"x": i} for i in range(3)]))
+    with pytest.raises(ValueError) as exc:
+        source.stream() | stage
+    assert type(exc.value) is ValueError and str(exc.value) == message
+    assert source.pulls == 0
+
+
+def test_composing_with_a_non_callable_leaves_the_stream_unclaimed():
+    s = Datastream([1])
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \|: 'Datastream' and 'int'"):
+        s | 5
+    assert as_list(s) == [1]
 
 
 def test_single_use_on_reiteration():
