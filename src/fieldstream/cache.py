@@ -61,6 +61,11 @@ def sanitize_key(key: str) -> str:
     return key.encode("utf-8", "surrogatepass").decode("latin-1").translate(_KEY_TABLE)
 
 
+def key_not_text(what: str, key_field: str, key) -> TypeError:
+    """The error for a ``key_field`` value that is not text; ``what`` names the key: cache or split."""
+    return TypeError(f"{what} key field {key_field!r} must be text, got {type(key).__name__}")
+
+
 # A file name is at most 255 bytes (NAME_MAX on Linux and macOS); a sanitized key is ASCII.
 _LONGEST_KEY = 255 - len(".json")
 
@@ -238,23 +243,12 @@ def _long_int_at(text: str) -> int:
                 if m[1] and len(m[1]) > limit and not (m[2] or m[3]))
 
 
-_SCAN = json.JSONDecoder().scan_once  # the scanner json.loads calls once its Python checks pass
-
-
 def parse_json(text: str, error: type[Exception], where: str, line: int = 1):
     """``json.loads(text)``; malformed JSON raises ``error("{where}{line}:{col}: {msg}")``.
 
-    ``line`` is the file line ``text`` starts on. Text that starts with its value and ends with it
-    or JSON whitespace is read by the scanner alone; anything else, every error included, goes
-    through ``json.loads``. ``json`` raises an integer past the int-string digit limit with no
-    position, so only this error path scans ``text`` for it.
+    ``line`` is the file line ``text`` starts on. ``json`` raises an integer past the int-string
+    digit limit with no position, so only this error path scans ``text`` for it.
     """
-    try:
-        value, end = _SCAN(text, 0)
-        if end == len(text) or not text[end:].strip(" \t\n\r"):
-            return value
-    except (StopIteration, TypeError, ValueError):  # not str, no value at 0, or malformed
-        pass
     try:
         return json.loads(text)
     except ValueError as e:
@@ -430,7 +424,7 @@ def apply_cached(s, src, dst: str, f, cache_dir, key_field: str = "filename") ->
         for r in it:
             key = r.get_field(key_field)
             if not isinstance(key, str):
-                raise TypeError(f"cache key field {key_field!r} must be text, got {type(key).__name__}")
+                raise key_not_text("cache", key_field, key)
             name = sanitize_key(key)
             if len(name) > _LONGEST_KEY:
                 name = _long_key_name(name, key)

@@ -21,7 +21,7 @@ import struct
 import sys
 from types import SimpleNamespace
 
-from .cache import _ENCODER, _F64, _tensor_obj, atomic_open, from_jsonable
+from .cache import _ENCODER, _tensor_obj, atomic_open, from_jsonable
 from .combinators import apply, shard, sliding_window
 from .errors import CacheCorrupt, FieldstreamError, MissingField, RaggedRow, ShapeMismatch
 from .mlprep import _save_split_file, datasplit, stratify_sample, summary
@@ -88,7 +88,7 @@ def _window_encoder():
             if type(v) is Tensor and len(v.shape) >= 2 and (data := v.data):
                 shape = v.shape
                 width = len(data) // shape[0]
-                bits = struct.pack(f"{_F64}{len(data)}d", *data)
+                bits = struct.pack(f"{len(data)}d", *data)  # native: only compared, never written
                 kept_shape, kept_bits, kept_rows = prev.get(name, ((), b"", ()))
                 if kept_shape == shape and bits[: -8 * width] == kept_bits[8 * width :]:
                     rows = kept_rows[1:]

@@ -13,7 +13,7 @@ from collections import deque
 from itertools import islice
 
 from .errors import BadShard, BatchArity
-from .record import EvalStrategy, FieldCell, Value, check_name
+from .record import EvalStrategy, FieldCell, Value, check_name, is_count
 from .stream import (
     Datastream, check_callable, check_count, chunks, claim_iter, ensure_stream, field_list, pipeable, reader
 )
@@ -207,11 +207,6 @@ def shard(s, k: int, n: int) -> Datastream:
     same pipeline with its own residue and the shards partition the
     stream.
     """
-    ok = (
-        isinstance(k, int) and not isinstance(k, bool)
-        and isinstance(n, int) and not isinstance(n, bool)
-        and n > 0 and 0 <= k < n
-    )
-    if not ok:
+    if not (is_count(n, 1) and is_count(k) and k < n):
         raise BadShard(f"need 0 <= k < n, got k={k!r}, n={n!r}")
     return Datastream(islice(claim_iter(s), k, None, n))

@@ -21,7 +21,7 @@ from collections import Counter
 from enum import Enum
 from functools import partial
 
-from .cache import atomic_write_bytes, parse_json
+from .cache import atomic_write_bytes, key_not_text, parse_json
 from .combinators import apply
 from .errors import (
     BadPattern,
@@ -59,9 +59,7 @@ class SplitLabel(str, Enum):
     VALID = "valid"
     TEST = "test"
 
-
-def _label_text(value) -> str:
-    return value.value if isinstance(value, SplitLabel) else str(value)
+    __str__, __format__ = str.__str__, str.__format__  # print as the text on every Python, as StrEnum does
 
 
 class Batch:
@@ -139,12 +137,14 @@ def _load_split_file(path) -> dict[str, SplitLabel]:
 def _save_split_file(path, records, key_field: str) -> None:
     """Write the ``{key: label}`` table of split-labelled records, atomically.
 
-    A key shared by two records raises BadSplitFile before anything is
-    written: the table could keep only one of their labels.
+    A key that is not text raises TypeError, and a key shared by two records BadSplitFile,
+    before anything is written: the file could not be read back, or would keep one label.
     """
     plain = {}
     for r in records:
         key = r.get_field(key_field)
+        if not isinstance(key, str):
+            raise key_not_text("split", key_field, key)
         if key in plain:
             raise BadSplitFile(f"{path}: key {key!r} of field {key_field!r} appears twice; split keys must be unique")
         plain[key] = r.get_field(SPLIT_FIELD).value
@@ -162,8 +162,8 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
     order, so the assignment depends only on the seed and position,
     never on field values. With a ``split_file`` path: an existing file is
     loaded when the stage is built (BadSplitFile if malformed) and
-    applied by ``key_field`` (a key absent from the file raises
-    UnlistedKey); a missing file is computed and then written, so the
+    applied by ``key_field``, whose values must be text (a key absent
+    from the file raises UnlistedKey); a missing file is computed and then written, so the
     stage reads its whole input before it yields its first record.
     """
     valid, test = _normalize_fractions(split_value)
@@ -175,6 +175,8 @@ def datasplit(s, split_value, seed: int = 0, split_file=None, key_field: str = "
         table = _load_split_file(split_file)
 
         def listed(key) -> SplitLabel:
+            if not isinstance(key, str):
+                raise key_not_text("split", key_field, key)
             label = table.get(key)
             if label is None:
                 raise UnlistedKey(f"key {key!r} not present in {split_file}")
@@ -279,7 +281,7 @@ def stratify_sample(s, class_field: str | None = None) -> Datastream:
 def stratify_sample_tt(s, class_field: str | None = None, split_field: str = SPLIT_FIELD) -> Datastream:
     """:func:`stratify_sample` applied independently inside each split label."""
     check_name(split_field)
-    return _stratified(s, class_field, lambda r: _label_text(r.get_field(split_field)))
+    return _stratified(s, class_field, lambda r: str(r.get_field(split_field)))
 
 
 @pipeable
@@ -312,7 +314,7 @@ def summary(s, class_field: str | None = None, sink=None) -> Datastream:
                 labels[key] = (
                     str(r.get_field("class_name")) if r.has_field("class_name") else str(key)
                 )
-            split = _label_text(r.get_field(SPLIT_FIELD)) if r.has_field(SPLIT_FIELD) else "-"
+            split = str(r.get_field(SPLIT_FIELD)) if r.has_field(SPLIT_FIELD) else "-"
             counts[(labels[key], split)] += 1
         out.write("class\tsplit\tcount\n")
         for (cls, split), n in sorted(counts.items()):

@@ -52,6 +52,11 @@ def check_name(name) -> None:
         raise ValueError(f"field name must be a non-empty string, got {name!r}")
 
 
+def is_count(value, minimum: int = 0) -> bool:
+    """Whether ``value`` is an int, not a bool, and at least ``minimum``: the one rule for every count and size."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 class EvalStrategy(Enum):
     """How a field obtains its value when read."""
 
@@ -130,7 +135,7 @@ class Record:
 
     @classmethod
     def from_values(cls, values: Mapping[str, Value]) -> "Record":
-        """Record of a mapping's values, each stored as :meth:`set_field` stores it; for names that aren't identifiers."""
+        """Record of any mapping's values, stored as :meth:`set_field` stores them; a non-text name raises ValueError."""
         r = cls()
         for name, value in values.items():
             r.set_field(name, value)

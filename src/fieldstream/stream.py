@@ -24,7 +24,7 @@ from functools import update_wrapper
 from itertools import islice
 
 from .errors import SingleUseViolation
-from .record import FieldCell, Record, Value, check_name
+from .record import FieldCell, Record, Value, check_name, is_count
 
 __all__ = [
     "Datastream",
@@ -181,7 +181,7 @@ def check_callable(value, what: str) -> None:
 
 def check_count(value, what: str, minimum: int = 1) -> None:
     """Raise ValueError naming ``what`` unless ``value`` is an int of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+    if not is_count(value, minimum):
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 

@@ -12,6 +12,7 @@ from collections.abc import Callable, Iterable, Sequence
 from operator import countOf
 
 from .errors import ShapeMismatch
+from .record import is_count
 
 __all__ = ["Tensor", "as_tensor"]
 
@@ -59,13 +60,14 @@ class Tensor:
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"]) -> "Tensor":
-        """Stack equal-shaped tensors along a new leading axis."""
+        """Stack equal-shaped tensors on a new leading axis; each goes through ``as_tensor``, so a scalar is rank 0."""
         tensors = list(tensors)
         if not tensors:
             raise ValueError("cannot stack zero tensors")
-        base = tensors[0]._shape
+        base = as_tensor(tensors[0])._shape
 
-        def same_shape(t: Tensor) -> Tensor:
+        def same_shape(t) -> Tensor:
+            t = as_tensor(t)
             if t._shape != base:
                 raise ShapeMismatch(f"cannot stack shape {t._shape} with shape {base}")
             return t
@@ -90,7 +92,7 @@ def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
     """``shape`` as a tuple; a dimension that is a bool, not an int, or negative raises ValueError."""
     shape = tuple(shape)
     for dim in shape:
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+        if not is_count(dim):
             raise ValueError(f"bad tensor dimension {dim!r}")
     return shape
 

@@ -788,8 +788,9 @@ def test_hit_path_is_the_joined_path(tmp_path, form):
 
 def test_cache_requires_text_key(tmp_path):
     rows = ds(recs([{"filename": 7, "x": 0}]))
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError) as info:
         as_list(apply_cached(rows, "x", "y", lambda v: v, tmp_path))
+    assert str(info.value) == "cache key field 'filename' must be text, got int"
 
 
 def test_no_temp_files_left_behind(tmp_path):

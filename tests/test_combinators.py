@@ -36,6 +36,7 @@ from fieldstream import (
     stratify_sample,
     stratify_sample_tt,
     summary,
+    take,
 )
 
 from helpers import CountingSource, ds, recs
@@ -426,6 +427,45 @@ def test_shard_rejects_bad_parameters():
     for k, n in [(3, 3), (5, 2), (-1, 2), (0, 0)]:
         with pytest.raises(BadShard):
             shard(xs([1]), k, n)
+
+
+# Every count site, with its own error type and message; {} is the bad value's repr.
+COUNT_SITES = {
+    "take n": (take, lambda v: {"n": v}, ValueError, "take count must be an integer >= 0, got {}"),
+    "apply_batch batch_size": (
+        apply_batch, lambda v: {"src": "x", "dst": "y", "f": list, "batch_size": v},
+        ValueError, "batch_size must be an integer >= 1, got {}",
+    ),
+    "as_batch batch_size": (
+        as_batch, lambda v: {"feature_fields": "x", "label_field": "x", "batch_size": v},
+        ValueError, "batch_size must be an integer >= 1, got {}",
+    ),
+    "sliding_window size": (
+        sliding_window, lambda v: {"fields": "x", "size": v}, ValueError, "window size must be an integer >= 1, got {}",
+    ),
+    "shard k": (shard, lambda v: {"k": v, "n": 2}, BadShard, "need 0 <= k < n, got k={}, n=2"),
+    "shard n": (shard, lambda v: {"k": 0, "n": v}, BadShard, "need 0 <= k < n, got k=0, n={}"),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, -1, "2"], ids=repr)
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_every_count_site_refuses_a_bool_float_negative_or_text(site, value):
+    stage, kwargs, error, message = COUNT_SITES[site]
+    source = CountingSource([Record(x=1.0)] * 3)
+    with pytest.raises(error) as called:
+        stage(source.stream(), **kwargs(value))
+    with pytest.raises(error) as piped:
+        source.stream() | stage(**kwargs(value))
+    assert str(called.value) == str(piped.value) == message.format(repr(value))
+    assert source.pulls == 0
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, -1, "2"], ids=repr)
+def test_a_tensor_dimension_follows_the_count_rule(value):
+    with pytest.raises(ValueError) as info:
+        Tensor((1, value), [])
+    assert str(info.value) == f"bad tensor dimension {value!r}"
 
 
 @given(st.integers(1, 6), st.lists(st.integers(), max_size=60))

@@ -145,6 +145,28 @@ def test_datasplit_repeated_key_writes_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("keys, type_name", [
+    (list(range(5)), "int"), ([1, "a"], "int"), (["a", 1], "int"), ([None, 2.5], "NoneType"),
+])
+def test_datasplit_writing_non_text_keys_raises_and_writes_no_file(tmp_path, keys, type_name):
+    split_file = tmp_path / "split.json"
+    with pytest.raises(TypeError) as info:
+        as_list(datasplit(ds(recs([{"k": k} for k in keys])), 0.4, split_file=split_file, key_field="k"))
+    assert str(info.value) == f"split key field 'k' must be text, got {type_name}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_datasplit_loading_refuses_an_int_key_and_leaves_the_file(tmp_path):
+    split_file = tmp_path / "split.json"
+    text = json.dumps({"0": "train"})
+    split_file.write_text(text)
+    with pytest.raises(TypeError) as info:
+        as_list(datasplit(ds(recs([{"k": 0}])), 0.4, split_file=split_file, key_field="k"))
+    assert str(info.value) == "split key field 'k' must be text, got int"
+    assert split_file.read_text() == text
+    assert list(tmp_path.iterdir()) == [split_file]
+
+
 def test_datasplit_missing_key_field(tmp_path):
     split_file = tmp_path / "s.json"
     with pytest.raises(MissingField):
@@ -335,6 +357,16 @@ def test_stratify_tt_preserves_original_order():
     assert indices == sorted(indices)
 
 
+@pytest.mark.parametrize("label", list(SplitLabel), ids=str)
+def test_split_label_prints_as_its_text(label):
+    text = label.value
+    assert str(label) == format(label) == f"{label}" == "{}".format(label) == text
+    assert f"{label:>6}" == f"{text:>6}"
+    assert repr(label) == f"<SplitLabel.{label.name}: {text!r}>"
+    assert label == text and hash(label) == hash(text)
+    assert json.dumps({"split": label}) == json.dumps({"split": text})
+
+
 # summary -------------------------------------------------------------------------------
 
 def test_summary_counts_and_passthrough():
@@ -378,6 +410,23 @@ def test_summary_forces_only_class_split_and_class_name():
     assert sink.getvalue() == "class\tsplit\tcount\na\ttrain\t2\nb\ttest\t1\n"
     assert forced == {"class_no": 3, "split": 3, "class_name": 2}  # a class's name is read at its first record
     assert [r.cell("image").eval_count for r in out] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("label", [
+    lambda i, text: SplitLabel(text),
+    lambda i, text: text,
+    lambda i, text: SplitLabel(text) if i % 2 else text,
+], ids=["SplitLabel", "str", "mixed"])
+def test_summary_and_stratify_tt_read_split_labels_and_plain_text_alike(label):
+    spec = [("A", "train"), ("B", "train"), ("A", "test"), ("A", "train"), ("B", "test"), ("B", "test")]
+
+    def rows():
+        return recs([{"class_no": c, "split": label(i, text), "i": i} for i, (c, text) in enumerate(spec)])
+
+    sink = io.StringIO()
+    assert [r.get_field("i") for r in as_list(summary(ds(rows()), sink=sink))] == list(range(6))
+    assert sink.getvalue() == "class\tsplit\tcount\nA\ttest\t1\nA\ttrain\t2\nB\ttest\t2\nB\ttrain\t1\n"
+    assert [r.get_field("i") for r in as_list(stratify_sample_tt(ds(rows())))] == [0, 1, 2, 4]
 
 
 def test_summary_empty_stream_header_only():

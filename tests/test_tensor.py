@@ -73,3 +73,21 @@ def test_stack_errors():
         Tensor.stack([])
     with pytest.raises(ShapeMismatch):
         Tensor.stack([Tensor((2,), [1.0, 2.0]), Tensor((3,), [1.0, 2.0, 3.0])])
+
+
+def test_stack_takes_numeric_scalars_as_rank_0():
+    assert Tensor.stack([1.0]) == Tensor((1,), [1.0])
+    assert Tensor.stack([1, Tensor((), [2.5]), 3.0]) == Tensor((3,), [1.0, 2.5, 3.0])
+
+
+@pytest.mark.parametrize("values, error, message", [
+    ([Tensor((2,), [1.0, 2.0]), 2.0], ShapeMismatch, "cannot stack shape () with shape (2,)"),
+    ([1.0, Tensor((2,), [1.0, 2.0])], ShapeMismatch, "cannot stack shape (2,) with shape ()"),
+    (["a"], TypeError, "neither a tensor nor a numeric scalar: 'a' is not a number"),
+    ([Tensor((), [1.0]), None], TypeError, "neither a tensor nor a numeric scalar: None is not a number"),
+    ([1.0, True], TypeError, "neither a tensor nor a numeric scalar: True is not a number"),
+])
+def test_stack_of_a_non_tensor_raises_as_as_tensor_does(values, error, message):
+    with pytest.raises(error) as info:
+        Tensor.stack(values)
+    assert str(info.value) == message
