@@ -9,7 +9,9 @@ import io
 import json
 import os
 import random
+import struct
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -22,6 +24,7 @@ from fieldstream import (
     SplitLabel,
     Tensor,
     apply,
+    apply_batch,
     apply_cached,
     as_batch,
     as_field,
@@ -31,7 +34,9 @@ from fieldstream import (
     check_left_identity,
     check_right_identity,
     datasplit,
+    datasplit_by_pattern,
     decode_value,
+    delay,
     delfield,
     encode_value,
     filter_field,
@@ -41,6 +46,8 @@ from fieldstream import (
     make_train_test_split,
     records_equal,
     run_cli,
+    scan,
+    select_field,
     shard,
     sliding_window,
     stratify_sample,
@@ -199,6 +206,53 @@ def test_04_laziness_and_pull_counts():
         assert source.pulls == k
 
     ok(4, "laziness: 0 pulls before sink, N for as_list, k for take(k)")
+
+
+# Upstream pulls before each stage's k-th output, one row per stage of the README's
+# pull-budget table. take(n) and datasplit writing a new split file are pinned in
+# test_stream.py and test_mlprep.py.
+BUDGET_ROWS = 12
+
+
+def loaded_split_file(tmp_path):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({f"f{i:02d}": "train" for i in range(BUDGET_ROWS)}))
+    return path
+
+
+PULL_BUDGETS = {
+    "apply": (lambda d: apply("x", "y", lambda v: v + 1), lambda k: k),
+    "delay": (lambda d: delay("x", "prev"), lambda k: k),
+    "scan": (lambda d: scan("x", "total", 0, lambda a, v: a + v), lambda k: k),
+    "delfield": (lambda d: delfield("tag"), lambda k: k),
+    "select_field": (lambda d: select_field("x"), lambda k: k),
+    "bind_field": (lambda d: bind_field("x", lambda v: Record(y=v)), lambda k: k),
+    "apply_cached": (lambda d: apply_cached("x", "sq", lambda v: v * v, d), lambda k: k),
+    "datasplit_by_pattern": (lambda d: datasplit_by_pattern("f0"), lambda k: k),
+    "datasplit": (lambda d: datasplit(0.5, seed=1), lambda k: k),
+    "datasplit-loaded-file": (lambda d: datasplit(0.5, split_file=loaded_split_file(d)), lambda k: k),
+    "filter_field": (lambda d: filter_field("x", lambda v: v % 3 == 0), lambda k: 3 * k - 2),
+    "apply_batch": (lambda d: apply_batch("x", "y", lambda vs: vs, 5), lambda k: min(-(-k // 5) * 5, BUDGET_ROWS)),
+    "as_batch": (lambda d: as_batch("x", "class_no", batch_size=5), lambda k: min(5 * k, BUDGET_ROWS)),
+    "sliding_window": (lambda d: sliding_window("x", 4), lambda k: k + 4 - 1),
+    "shard": (lambda d: shard(2, 5), lambda k: 2 + 1 + 5 * (k - 1)),
+    "infshuffle": (lambda d: infshuffle(seed=1), lambda k: BUDGET_ROWS),
+    "stratify_sample": (lambda d: stratify_sample(), lambda k: BUDGET_ROWS),
+    "stratify_sample_tt": (lambda d: stratify_sample_tt(), lambda k: BUDGET_ROWS),
+    "summary": (lambda d: summary(sink=io.StringIO()), lambda k: BUDGET_ROWS),
+}
+
+
+@pytest.mark.parametrize("stage, budget", PULL_BUDGETS.values(), ids=list(PULL_BUDGETS))
+def test_04_every_stage_keeps_its_pull_budget(stage, budget, tmp_path):
+    source = CountingSource(recs([
+        {"x": i, "class_no": i % 2, "filename": f"f{i:02d}", "tag": "t", "split": "test" if i % 3 == 0 else "train"}
+        for i in range(BUDGET_ROWS)
+    ]))
+    outputs = source.stream() | stage(tmp_path)
+    pulls = [source.pulls for _ in islice(outputs, 2 * BUDGET_ROWS)]  # infshuffle never ends
+    assert len(pulls) >= 2
+    assert pulls == [budget(k) for k in range(1, len(pulls) + 1)]
 
 
 # 5 ---------------------------------------------------------------------------------
@@ -418,6 +472,47 @@ def test_10_end_to_end_cats_vs_dogs(tmp_path):
     assert table == table2
 
     ok(10, "end-to-end synthetic tree pipeline: consistent, seed-reproducible")
+
+
+def write_feature_tree(root):
+    """Three classes of four 8-float files, the README pipeline's input with files it can load."""
+    for class_no, name in enumerate(["cats", "dogs", "owls"]):
+        (root / name).mkdir(parents=True)
+        for i in range(4):
+            (root / name / f"{i}.f64").write_bytes(struct.pack("<8d", *(class_no + i / 8 + j for j in range(8))))
+
+
+def test_10_readme_pipeline_through_shuffled_batches(tmp_path):
+    write_feature_tree(tmp_path)
+    forces = []
+
+    def load_image(path):
+        with open(path, "rb") as fh:
+            return struct.unpack("<8d", fh.read())
+
+    def augment(x):
+        forces.append(x)
+        return Tensor((len(x),), [v * 0.5 + 1 for v in x])
+
+    train, test = (
+        get_datastream(tmp_path, ext=".f64")
+        | datasplit(0.25, seed=42)
+        | stratify_sample_tt()
+        | summary(sink=io.StringIO())
+        | apply("filename", "image", load_image)
+        | apply("image", "augmented", augment, strategy=EvalStrategy.ON_DEMAND)
+        | make_train_test_split
+    )
+    assert train and not forces  # nothing is augmented before batching
+    batches = train | infshuffle(seed=1) | as_batch("augmented", "class_no", batch_size=4)
+    got = as_list(batches | take(5))
+    assert [b.features["augmented"].shape for b in got] == [(4, 8)] * 5
+    assert [b.labels.shape for b in got] == [(4,)] * 5
+    labels = [x for b in got for x in b.labels.data]
+    assert all(type(x) is float for x in labels) and set(labels) <= {0.0, 1.0, 2.0}
+    assert len(forces) == 20  # one augment per emitted record
+
+    ok(10, "README pipeline: 5 shuffled batches of (4, 8), float labels, one augment per emitted record")
 
 
 # 11 --------------------------------------------------------------------------------

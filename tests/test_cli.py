@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 from types import SimpleNamespace
 
@@ -60,6 +61,21 @@ def test_usage_error_exits_1(capsys):
 
 def test_help_exits_0(capsys):
     assert run_cli(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["no-such-command"], 1), (["shard", "--in", "{missing}", "--k", "0", "--n", "1", "--out", "{out}"], 2)],
+    ids=["help", "unknown-command", "missing-input"],
+)
+def test_main_exits_with_the_code_run_cli_returns(tmp_path, monkeypatch, capsys, argv, code):
+    """The console script's entry point: one real process checks the same exit in CI."""
+    paths = {"missing": tmp_path / "missing.jsonl", "out": tmp_path / "o.jsonl"}
+    monkeypatch.setattr(sys, "argv", ["fieldstream", *(arg.format(**paths) for arg in argv)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_data_error_exits_2(tmp_path, capsys):
@@ -176,6 +192,15 @@ def test_integer_past_digit_limit_names_file_and_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_truncated_json_line_names_file_line_and_column(tmp_path, capsys):
+    src = tmp_path / "cut.jsonl"
+    write(src, '{"a": 1}\n{"a": \n')
+    out = tmp_path / "o.jsonl"
+    assert run_cli(["shard", "--in", str(src), "--k", "0", "--n", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {src}:2:7: Expecting value\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rows, argv, message",
     [
@@ -227,7 +252,7 @@ def test_bad_shard_parameters_exit_2(tmp_path):
 
 # convert --------------------------------------------------------------------------
 
-CSV_FIXTURE = 'name,note\nalpha,"x,y"\nbeta,plain\ngamma,"he said ""hi"""\n'
+CSV_FIXTURE = 'name,note\nalpha,"x,y"\nbeta,plain\ngamma,"he said ""hi"""\ndelta,café\n'
 
 
 def test_convert_round_trip_is_byte_stable(tmp_path):
@@ -236,8 +261,11 @@ def test_convert_round_trip_is_byte_stable(tmp_path):
     back = tmp_path / "back.csv"
     write(src, CSV_FIXTURE)
     assert run_cli(["convert", "--in", str(src), "--out", str(mid)]) == 0
+    assert mid.read_bytes().endswith('{"name": "delta", "note": "café"}\n'.encode("utf-8"))  # text is written raw
     assert run_cli(["convert", "--in", str(mid), "--out", str(back)]) == 0
-    assert back.read_text(encoding="utf-8").rstrip("\n") == CSV_FIXTURE.rstrip("\n")
+    assert back.read_bytes() == src.read_bytes()
+
+
 
 
 def test_line_separator_characters_round_trip(tmp_path):
@@ -408,6 +436,36 @@ def test_window_round_trips_tensor_fields(tmp_path):
     got = json.loads(out.read_text().splitlines()[0])
     assert got["f"] == {"t": "tensor", "shape": [2, 2], "data": [1.5, -2.0, 3.0, 4.0]}
     assert got["i"] == 1
+
+
+ROWS_APART_BY_A_ZERO_SIGN = (
+    '{"x": {"t": "tensor", "shape": [2], "data": [1.0, 2.0]}, "i": 0}\n'
+    '{"x": {"t": "tensor", "shape": [2], "data": [3.0, -0.0]}, "i": 1}\n'
+    '{"x": {"t": "tensor", "shape": [2], "data": [3.0, 0.0]}, "i": 2}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "fields, want",
+    [
+        (
+            "x",
+            '{"x": {"t": "tensor", "shape": [2, 2], "data": [1.0, 2.0, 3.0, -0.0]}, "i": 1}\n'
+            '{"x": {"t": "tensor", "shape": [2, 2], "data": [3.0, -0.0, 3.0, 0.0]}, "i": 2}\n',
+        ),
+        (
+            "i",
+            '{"x": {"t": "tensor", "shape": [2], "data": [3.0, -0.0]}, "i": {"t": "tensor", "shape": [2], "data": [0.0, 1.0]}}\n'
+            '{"x": {"t": "tensor", "shape": [2], "data": [3.0, 0.0]}, "i": {"t": "tensor", "shape": [2], "data": [1.0, 2.0]}}\n',
+        ),
+    ],
+    ids=["tensor-rows", "scalar-beside-a-tensor"],
+)
+def test_window_writes_these_bytes(tmp_path, fields, want):
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    write(src, ROWS_APART_BY_A_ZERO_SIGN)
+    assert run_cli(["window", "--in", str(src), "--fields", fields, "--size", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode("utf-8")
 
 
 def test_window_repeated_field_writes_the_field_once(tmp_path):
