@@ -12,10 +12,12 @@ floats are shortest decimals, and a scalar NaN comes back as the default
 NaN). Offsets run on from 0 in header order and use up the data section
 exactly. Compact JSON escapes every newline in a string, so the first
 newline byte ends the header. A process parses and checks each distinct
-header once, into a decode plan kept in a bounded memo; a later file with
-that header only has its length checked and its tensors read. Encoding a
-map whose keys are exactly ``t``, ``shape`` and ``f64`` with
-``t == "tensor"`` raises TypeError, as it would read back as a tensor.
+well-formed header once, into a decode plan kept in a bounded memo; a
+later file with that header only has its length checked and its tensors
+read. A malformed header is never kept: it raises its own error on every
+decode, whatever the data section holds. Encoding a map whose keys are
+exactly ``t``, ``shape`` and ``f64`` with ``t == "tensor"`` raises
+TypeError, as it would read back as a tensor.
 Format 2 (one JSON document whose tensors hold base64 text in ``"f64"``)
 and format 1 (tensors in the CLI's decimal ``"data"`` layout) are still
 read; each version recognizes only its own tensor layout. A fieldstream
@@ -91,10 +93,6 @@ def _tensor_obj(shape, data) -> dict:
     return {"t": "tensor", "shape": shape, "data": data}
 
 
-def _data_obj(t: Tensor) -> dict:
-    return _tensor_obj(list(t.shape), list(t.data))
-
-
 def _not_encodable(value) -> TypeError:
     return TypeError(f"{type(value).__name__} is not an encodable value")
 
@@ -137,7 +135,7 @@ _F64_KEYS = frozenset(("t", "shape", "f64"))
 _F64 = "" if sys.byteorder == "little" else "<"
 
 
-def to_jsonable(value: Value, tensor=_data_obj):
+def to_jsonable(value: Value, tensor=_encode_default):
     """Map a field value onto plain JSON-serializable data; ``tensor`` lays out each tensor."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -206,15 +204,13 @@ def _v2_tensor(obj: dict) -> Tensor | None:
 
 def from_jsonable(obj, tensor=_tensor_from_data) -> Value:
     """Inverse of :func:`to_jsonable`; ``tensor`` recognizes and builds the tensors of one layout."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
     if isinstance(obj, list):
         return [from_jsonable(v, tensor) for v in obj]
     if isinstance(obj, dict):
         if (t := tensor(obj)) is not None:
             return t
         return {k: from_jsonable(v, tensor) for k, v in obj.items()}
-    raise CacheCorrupt(f"cannot decode {type(obj).__name__}")
+    return obj
 
 
 def encode_value(value: Value) -> bytes:
@@ -289,11 +285,9 @@ class _Slot:
 
 def _plan(header: bytes):
     """The decode plan of a format 3 header line: the value with a :class:`_Slot` for each tensor,
-    its slots in header order, the length of the file that holds their data, and None.
+    its slots in header order, and the length of the file that holds their data.
 
-    A malformed envelope raises CacheCorrupt. A malformed tensor makes a plan of the slots before it,
-    no file length and the message, which every decode raises unless the file cuts one of those
-    slots short: a format 3 walk reads each tensor's data before it checks the next tensor.
+    A malformed header raises CacheCorrupt, so a decode reports it whatever the data section holds.
     """
     value, _ = _envelope(header, (3,), "a header")
     base = len(header) + 1  # the data section's first byte
@@ -308,15 +302,13 @@ def _plan(header: bytes):
         slots.append(_Slot(shape, start))
         return slots[-1]
 
-    try:
-        return from_jsonable(value, slot), slots, slots[-1].end if slots else base, None
-    except CacheCorrupt as e:
-        return None, slots, -1, str(e)
+    return from_jsonable(value, slot), slots, slots[-1].end if slots else base
 
 
-# A process keeps the plans of at most _PLAN_MEMO distinct format 3 headers, the least recently
-# used dropped first, and only of headers up to _MEMO_HEADER bytes: a longer one (a value of many
-# scalars) is planned afresh on every decode, so the memo's size stays bounded in bytes too.
+# A process keeps the plans of at most _PLAN_MEMO distinct well-formed format 3 headers (an
+# lru_cache keeps nothing from a call that raised), the least recently used dropped first, and
+# only of headers up to _MEMO_HEADER bytes: a longer one (a value of many scalars) is planned
+# afresh on every decode, so the memo's size stays bounded in bytes too.
 _PLAN_MEMO = 128
 _MEMO_HEADER = 4096
 _memo_plan = functools.lru_cache(maxsize=_PLAN_MEMO)(_plan)
@@ -336,11 +328,11 @@ def _fill(node, blob: bytes):
 def decode_value(blob: bytes | str) -> Value:
     """Parse cache format 1, 2 or 3; any malformation raises CacheCorrupt."""
     if isinstance(blob, bytes) and blob.startswith(_V3_HEAD) and (end := blob.find(b"\n")) >= 0:
-        skeleton, slots, size, bad = (_memo_plan if end <= _MEMO_HEADER else _plan)(blob[:end])
+        skeleton, slots, size = (_memo_plan if end <= _MEMO_HEADER else _plan)(blob[:end])
         if len(blob) != size:
             if cut := next((s for s in slots if s.end > len(blob)), None):
                 raise _wrong_size(cut.shape, max(0, len(blob) - cut.start), cut.end - cut.start)
-            raise CacheCorrupt(bad or f"data section holds {len(blob) - end - 1} bytes, its tensors {size - end - 1}")
+            raise CacheCorrupt(f"data section holds {len(blob) - end - 1} bytes, its tensors {size - end - 1}")
         return _fill(skeleton, blob)
     value, version = _envelope(blob, (1, 2), "a JSON document")
     return from_jsonable(value, _v2_tensor if version == 2 else _tensor_from_data)

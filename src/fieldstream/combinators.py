@@ -41,17 +41,20 @@ def apply(s, src, dst: str, f, strategy: EvalStrategy = EvalStrategy.EAGER) -> D
     LAZY_MEMOIZED and ON_DEMAND install a thunk that reads the sources
     from the record at force time, so lazy chains force transitively
     and a deleted source fails loudly. An existing ``dst`` is replaced.
-    A lazy ``dst`` must not name its own source: the thunk would force
-    itself.
+    A lazy ``dst`` that names one of its sources raises ValueError when
+    built: the thunk would force itself.
     """
     check_name(dst)
     check_callable(f, "apply function")
-    read = reader(src)
+    sources = field_list(src)
+    read = reader(src if isinstance(src, str) else sources)
     if strategy is not EvalStrategy.EAGER:
         if isinstance(src, str):  # the thunk reads its one source itself: a call less per force
             template = FieldCell(strategy, thunk=lambda record: f(record.get_field(src)))
         else:
             template = FieldCell(strategy, thunk=lambda record: f(read(record)))
+        if dst in sources:  # after FieldCell has refused an unknown strategy
+            raise ValueError(f"lazy apply dst {dst!r} is one of its sources: its thunk would force itself")
     it = claim_iter(s)
 
     def eager():

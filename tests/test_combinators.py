@@ -137,6 +137,26 @@ def test_apply_rejects_unknown_strategy_when_composed():
     assert source.pulls == 0
 
 
+@pytest.mark.parametrize("strategy", [EvalStrategy.LAZY_MEMOIZED, EvalStrategy.ON_DEMAND])
+@pytest.mark.parametrize("src", ["x", ["x"], ["y", "x"]])
+def test_a_lazy_apply_that_reads_its_own_dst_is_refused_when_built(strategy, src):
+    source = CountingSource([1, 2])
+    stream = as_field(source.stream(), "x")
+    message = "lazy apply dst 'x' is one of its sources: its thunk would force itself"
+    with pytest.raises(ValueError) as exc:
+        stream | apply(src=src, dst="x", f=lambda v: v, strategy=strategy)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        apply(stream, src, "x", lambda v: v, strategy)
+    assert str(exc.value) == message
+    assert source.pulls == 0 and repr(stream) == "<Datastream fresh>"
+
+
+def test_an_eager_apply_may_overwrite_its_own_source():
+    assert field_list(xs([1, 2]) | apply("x", "x", lambda v: v + 1), "x") == [2, 3]
+    assert field_list(xs([1, 2]) | apply(src=["x"], dst="x", f=sum), "x") == [1, 2]
+
+
 _BAD_NAME_STAGES = {
     "apply": lambda tmp: apply("x", "", lambda v: v),
     "scan": lambda tmp: scan("x", 5, 0, max),

@@ -318,6 +318,29 @@ def test_composing_with_a_non_callable_leaves_the_stream_unclaimed():
     assert as_list(s) == [1]
 
 
+@pytest.mark.parametrize("left, stage", [
+    (5, as_list),
+    (5, take(2)),
+    (None, take(1)),
+    ("abc", count),
+    (b"xy", as_list),
+    ({"a": 1}, as_list),
+])
+def test_a_non_stream_left_of_the_bar_raises(left, stage):
+    with pytest.raises(TypeError) as exc:
+        left | stage
+    assert str(exc.value) == f"expected a stream or iterable, got {type(left).__name__}"
+
+
+def test_reprs_name_the_stream_state_and_the_stage():
+    s = xs([1])
+    assert repr(s) == "<Datastream fresh>"
+    s.claim()
+    assert repr(s) == "<Datastream claimed>"
+    assert repr(take(2)) == "<stage take>"
+    assert repr(take) == "<pipeable take>"
+
+
 def test_single_use_on_reiteration():
     s = xs([1, 2])
     as_list(s)

@@ -91,3 +91,16 @@ def test_stack_of_a_non_tensor_raises_as_as_tensor_does(values, error, message):
     with pytest.raises(error) as info:
         Tensor.stack(values)
     assert str(info.value) == message
+
+
+def test_repr_shows_short_data_and_counts_long_data():
+    assert repr(Tensor((2,), [1.0, 2.0])) == "Tensor(shape=(2,), data=[1.0, 2.0])"
+    assert repr(Tensor((7,), [0.0] * 7)) == "Tensor(shape=(7,), <7 floats>)"
+
+
+def test_equal_tensors_hash_equal_and_a_tensor_never_equals_a_number():
+    a, b = Tensor((2, 1), [1.0, -0.0]), Tensor([2, 1], [1, 0.0])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert (Tensor((1,), [3.0]) == 3) is False
+    assert (Tensor((1,), [3.0]) != 3) is True
