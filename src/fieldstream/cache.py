@@ -128,7 +128,9 @@ class _Encoder:
 _ENCODER = _Encoder(", ", ": ", _encode_default)
 # Writes exactly what json.dumps(payload, ensure_ascii=False, separators=(",", ":")) writes.
 _COMPACT_ENCODER = _Encoder(",", ":", json.JSONEncoder().default)
-# The keys of a tensor map in the "f64" layout of cache formats 2 and 3.
+# The keys of a tensor map in the "data" layout of JSON Lines and cache format 1,
+# and in the "f64" layout of cache formats 2 and 3.
+_DATA_KEYS = frozenset(("t", "shape", "data"))
 _F64_KEYS = frozenset(("t", "shape", "f64"))
 # The struct prefix of tensor data, little-endian float64 on disk: native on a little-endian host,
 # whose "d" is that same unpadded 8-byte run and packs and unpacks faster than "<".
@@ -157,7 +159,7 @@ def to_jsonable(value: Value, tensor=_encode_default):
 
 def _tensor_from_data(obj: dict) -> Tensor | None:
     """The tensor a ``"data"`` layout map encodes; None for any other map."""
-    if obj.keys() != {"t", "shape", "data"} or obj["t"] != "tensor":
+    if obj.keys() != _DATA_KEYS or obj["t"] != "tensor":
         return None
     shape, data = obj["shape"], obj["data"]
     if not isinstance(shape, list) or not isinstance(data, list):

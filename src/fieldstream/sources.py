@@ -1,10 +1,11 @@
 """Stream producers: file trees, class directories, CSV and JSON files.
 
 All file enumeration is sorted lexicographically so two runs over the
-same tree produce byte-identical streams. CSV follows the minimal RFC
-4180 dialect (comma, double quotes, doubled-quote escaping, UTF-8); a
-UTF-8 byte order mark before the header is dropped, while JSON input
-refuses one, as RFC 8259 allows.
+same tree produce byte-identical streams. FIFOs, broken links and linked
+directories are skipped; a directory that cannot be listed raises its
+OSError. CSV follows the minimal RFC 4180 dialect (comma, double quotes,
+doubled-quote escaping, UTF-8); a UTF-8 byte order mark before the
+header is dropped, while JSON input refuses one, as RFC 8259 allows.
 JSON input is either one top-level array of objects or JSON Lines,
 detected by the first non-whitespace character. JSON Lines is read one
 line at a time and breaks lines only at ``\n``, so U+2028, U+2029,
@@ -26,42 +27,39 @@ from .stream import Datastream
 __all__ = ["get_files", "get_datastream", "csvsource", "jsonstream"]
 
 
-def _walk_files(root: str) -> list[str]:
-    """Sorted files and symlinks to files under ``root``; skips FIFOs, broken links and linked directories."""
+def _directory(path) -> str:
+    """``path`` as text; NotADirectoryError unless it names a directory."""
+    path = os.fspath(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"not a directory: {path}")
+    return path
+
+
+def _walk_files(root: str, ext: str | None):
+    """Sorted paths under ``root`` ending in ``ext``, any case, by ``get_files``' rules; lists them on the first pull."""
+    suffix = None if ext is None else ext.lower()
     paths = []
     pending = [root]
     while pending:
-        try:
-            entries = os.scandir(pending.pop())
-        except OSError:
-            continue
-        with entries:
+        with os.scandir(pending.pop()) as entries:
             for entry in entries:
                 if entry.is_dir(follow_symlinks=False):
                     pending.append(entry.path)
-                elif entry.is_file():
+                elif entry.is_file() and (suffix is None or entry.path.lower().endswith(suffix)):
                     paths.append(entry.path)
     paths.sort()
-    return paths
+    yield from paths
 
 
 def get_files(directory, ext: str | None = None) -> Datastream:
     """Stream of file paths under a directory, recursive and sorted.
 
     Paths keep the directory prefix as given. ``ext`` filters by a
-    case-insensitive suffix, e.g. ``".jpg"``.
+    case-insensitive suffix, e.g. ``".jpg"``. Symlinks to files are
+    listed, while FIFOs, broken links and linked directories are skipped;
+    a subdirectory that cannot be listed raises its OSError.
     """
-    directory = os.fspath(directory)
-    if not os.path.isdir(directory):
-        raise NotADirectoryError(f"not a directory: {directory}")
-    suffix = None if ext is None else ext.lower()
-
-    def gen():
-        for path in _walk_files(directory):
-            if suffix is None or path.lower().endswith(suffix):
-                yield path
-
-    return Datastream(gen())
+    return Datastream(_walk_files(_directory(directory), ext))
 
 
 def get_datastream(data_dir, ext: str | None = None, classes: Mapping[str, int] | None = None) -> Datastream:
@@ -74,12 +72,9 @@ def get_datastream(data_dir, ext: str | None = None, classes: Mapping[str, int] 
     number mapping is used and a file in an unlisted subdirectory
     raises UnknownClass.
     """
-    data_dir = os.fspath(data_dir)
-    if not os.path.isdir(data_dir):
-        raise NotADirectoryError(f"not a directory: {data_dir}")
-    subdirs = sorted(
-        entry.name for entry in os.scandir(data_dir) if entry.is_dir()
-    )
+    data_dir = _directory(data_dir)
+    with os.scandir(data_dir) as entries:
+        subdirs = sorted(entry.name for entry in entries if entry.is_dir())
     if classes is None:
         mapping: Mapping[str, int] = {name: i for i, name in enumerate(subdirs)}
     else:
@@ -88,7 +83,7 @@ def get_datastream(data_dir, ext: str | None = None, classes: Mapping[str, int] 
     def gen():
         for name in subdirs:
             listed = name in mapping
-            for path in get_files(os.path.join(data_dir, name), ext):
+            for path in _walk_files(os.path.join(data_dir, name), ext):
                 if not listed:
                     raise UnknownClass(f"directory {name!r} is not in the class mapping")
                 yield Record._adopt({"filename": path, "class_no": mapping[name], "class_name": name})

@@ -1,8 +1,11 @@
 """File-tree, CSV and JSON stream producers."""
 
+import errno
+import gc
 import json
 import os
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -83,6 +86,26 @@ def test_walk_lists_file_links_and_skips_special_entries(tmp_path):
     assert got == [(p.replace(str(root), str(tmp_path / "classes/pets")), "pets") for p in expected]
 
 
+def test_a_directory_that_cannot_be_listed_raises(tmp_path, monkeypatch):
+    # chmod cannot deny root, so the refusal is planted in os.scandir
+    touch(tmp_path / "cats" / "c.jpg")
+    touch(tmp_path / "dogs" / "d.jpg")
+    touch(tmp_path / "dogs" / "locked" / "e.jpg")
+    locked = str(tmp_path / "dogs" / "locked")
+    scandir = os.scandir
+
+    def refusing(path):
+        if os.fspath(path) == locked:
+            raise PermissionError(13, "Permission denied", path)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing)
+    for stream in (get_files(tmp_path), get_datastream(tmp_path)):
+        with pytest.raises(PermissionError) as exc:
+            stream | as_list
+        assert exc.value.filename == locked
+
+
 # get_datastream -----------------------------------------------------------------
 
 @pytest.fixture
@@ -132,6 +155,20 @@ def test_get_datastream_over_a_file_raises_not_a_directory(tmp_path):
     with pytest.raises(NotADirectoryError) as exc:
         get_datastream(p)
     assert str(exc.value) == f"not a directory: {p}"
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_get_datastream_over_a_symlink_loop_raises_and_closes_its_listing(tmp_path):
+    touch(tmp_path / "cats" / "c.jpg")
+    os.symlink(tmp_path / "loop", tmp_path / "loop")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(OSError) as exc:
+            get_datastream(tmp_path)
+        assert exc.value.errno == errno.ELOOP
+        del exc
+        gc.collect()  # a scandir iterator left open warns when it is collected
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_get_datastream_records_own_their_fields(pet_tree):
